@@ -1,5 +1,5 @@
 // Event-core throughput benchmark (events/sec) with a pinned pre-change
-// baseline. Three workloads:
+// baseline. Workloads:
 //
 //   churn    — 64 self-rescheduling 64-byte timers, pure scheduler churn;
 //              isolates InlineCallback + the vector-backed event heap.
@@ -27,17 +27,6 @@
 //              mirror-tap live-flow tracker keyed by packed FlowTuple.
 //              Reports flows/sec (wall), bytes per table probe, and the
 //              tracker's probes-per-lookup chain length.
-//   shard_scaling — the megaflow workload on the distributed sharded
-//              engine at 1/2/4/8 shards: hosts hashed over N full
-//              per-shard topologies, per-shard flow generators sourcing
-//              locally toward enclave-wide destinations, cross-shard
-//              packets riding trunk links through the barrier mailboxes
-//              (netsim::CrossShardFabric). Reports events/sec and
-//              packets/sec per shard count plus barrier-stall wall time
-//              per shard. Wall-clock scaling only materializes with >= N
-//              physical cores — the JSON records hardware_concurrency so
-//              numbers from a 1-core CI container are not misread as a
-//              scaling regression; the smoke floor is warn-only.
 //
 // The "baseline" constants below were measured at the commit immediately
 // before the allocation-free event core landed (std::function queue,
@@ -54,7 +43,6 @@
 // Usage: bench_netsim [--smoke] [--out FILE]
 //   --smoke  short run (CI): fewer events, one repetition, same checks.
 //   --out    JSON report path (default BENCH_netsim.json).
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -62,10 +50,8 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "attack/patterns.hpp"
@@ -74,10 +60,8 @@
 #include "ids/anomaly_engine.hpp"
 #include "ids/rules.hpp"
 #include "ids/signature_engine.hpp"
-#include "netsim/fabric.hpp"
 #include "netsim/flow_tuple.hpp"
 #include "netsim/network.hpp"
-#include "netsim/sharded.hpp"
 #include "netsim/simulator.hpp"
 #include "telemetry/registry.hpp"
 #include "products/catalog.hpp"
@@ -571,142 +555,6 @@ ProfileSmokeResult profile_smoke_run(
   return r;
 }
 
-struct ShardScalingPoint {
-  std::size_t shards = 0;
-  double events_per_sec = 0.0;
-  double packets_per_sec = 0.0;
-  std::uint64_t flows = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t cross_shard_messages = 0;
-  double barrier_stall_mean_sec = 0.0;  ///< Mean over shards.
-  double barrier_stall_max_sec = 0.0;   ///< Worst shard.
-  std::uint64_t fallbacks = 0;
-};
-
-// The megaflow workload spread over a distributed shard plan: every
-// shard owns a full topology slice (hosts, switch, links) plus its own
-// flow generator sourcing from local hosts toward destinations anywhere
-// in the enclave, so a deterministic fraction of traffic crosses shards
-// over the trunk fabric. Reproducible at a fixed shard count; NOT
-// shard-count-invariant (N generators = N arrival streams), which is
-// fine for a throughput bench — the invariant path is the central plan
-// the testbed uses, pinned by the golden-hash tests.
-ShardScalingPoint shard_scaling_run(std::size_t shards, bool smoke) {
-  using idseval::netsim::CrossShardFabric;
-  using idseval::netsim::Ipv4;
-  using idseval::netsim::LinkSpec;
-  using idseval::netsim::Network;
-  using idseval::netsim::ShardPlan;
-  using idseval::netsim::ShardedSimulator;
-
-  const ShardPlan plan = ShardPlan::distributed(shards);
-  ShardedSimulator engine{plan};
-  LinkSpec trunk;
-  trunk.bandwidth_bps = 10e9;
-  trunk.latency = SimTime::from_us(50);
-  trunk.queue_capacity = 1u << 16;
-  CrossShardFabric fabric(engine, trunk);
-
-  // One Network per shard; shards > 0 build under their own telemetry
-  // registry so switch/link instruments bind shard-locally (their
-  // counters are bumped from shard worker threads in threaded mode).
-  struct Site {
-    std::unique_ptr<Network> net;
-    std::unique_ptr<idseval::traffic::TransactionLedger> ledger;
-    std::unique_ptr<idseval::traffic::FlowGenerator> gen;
-    std::vector<Ipv4> internal;
-    std::vector<Ipv4> external;
-    std::uint64_t packets = 0;
-  };
-  std::vector<Site> sites(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    std::optional<idseval::telemetry::ScopedRegistry> scope;
-    if (s > 0) scope.emplace(engine.registry(s));
-    sites[s].net = std::make_unique<Network>(engine.shard(s));
-    fabric.set_switch(s, &sites[s].net->lan_switch());
-  }
-
-  const int internal = smoke ? 2000 : 12000;
-  const int external = smoke ? 200 : 1200;
-  std::vector<Ipv4> all_internal;
-  all_internal.reserve(static_cast<std::size_t>(internal));
-  for (int i = 0; i < internal; ++i) {
-    const Ipv4 addr(10, 1, static_cast<std::uint8_t>(i >> 8),
-                    static_cast<std::uint8_t>(i & 0xff));
-    const std::size_t home = plan.shard_of(addr);
-    std::optional<idseval::telemetry::ScopedRegistry> scope;
-    if (home > 0) scope.emplace(engine.registry(home));
-    sites[home].net->add_host("h" + std::to_string(i), addr);
-    sites[home].internal.push_back(addr);
-    all_internal.push_back(addr);
-    fabric.add_route(addr, home);
-  }
-  for (int i = 0; i < external; ++i) {
-    const Ipv4 addr(198, 51, static_cast<std::uint8_t>(i >> 8),
-                    static_cast<std::uint8_t>(i & 0xff));
-    const std::size_t home = plan.shard_of(addr);
-    std::optional<idseval::telemetry::ScopedRegistry> scope;
-    if (home > 0) scope.emplace(engine.registry(home));
-    sites[home].net->add_external_host("x" + std::to_string(i), addr);
-    sites[home].external.push_back(addr);
-    fabric.add_route(addr, home);
-  }
-
-  idseval::traffic::EnvironmentProfile prof =
-      idseval::traffic::megaflow_profile();
-  prof.flows_per_sec *= smoke ? 20.0 : 200.0;
-  const double gen_sec = smoke ? 6.0 : 20.0;
-  const double drain_sec = smoke ? 10.0 : 20.0;
-
-  for (std::size_t s = 0; s < shards; ++s) {
-    Site& site = sites[s];
-    if (site.internal.empty()) continue;
-    std::optional<idseval::telemetry::ScopedRegistry> scope;
-    if (s > 0) scope.emplace(engine.registry(s));
-    site.net->lan_switch().add_mirror_batch(
-        [&site](const idseval::netsim::Packet*, std::size_t n) {
-          site.packets += n;
-        });
-    site.ledger = std::make_unique<idseval::traffic::TransactionLedger>();
-    site.gen = std::make_unique<idseval::traffic::FlowGenerator>(
-        engine.shard(s), *site.net, site.ledger.get(), prof,
-        idseval::util::derive_seed(13, s));
-    // Destinations span the enclave (that is what sends packets over the
-    // trunks); sources stay local; arrival rate is the shard's share of
-    // the total so offered load is constant across shard counts.
-    site.gen->set_internal_hosts(all_internal);
-    site.gen->set_source_hosts(site.internal);
-    site.gen->set_external_hosts(site.external);
-    site.gen->set_rate_scale(static_cast<double>(site.internal.size()) /
-                             static_cast<double>(internal));
-    site.gen->start(SimTime::from_sec(gen_sec));
-  }
-
-  const double t0 = now_sec();
-  engine.run_until(SimTime::from_sec(gen_sec + drain_sec));
-  const double dt = now_sec() - t0;
-
-  ShardScalingPoint p;
-  p.shards = shards;
-  p.events_per_sec = static_cast<double>(engine.executed()) / dt;
-  std::uint64_t packets = 0;
-  for (const Site& site : sites) {
-    packets += site.packets;
-    if (site.ledger) p.flows += site.ledger->size();
-  }
-  p.packets_per_sec = static_cast<double>(packets) / dt;
-  p.windows = engine.stats().windows;
-  p.cross_shard_messages = engine.stats().total_messages();
-  for (const ShardedSimulator::ShardStats& s : engine.stats().shard) {
-    p.barrier_stall_mean_sec += s.barrier_stall_sec;
-    p.barrier_stall_max_sec =
-        std::max(p.barrier_stall_max_sec, s.barrier_stall_sec);
-  }
-  p.barrier_stall_mean_sec /= static_cast<double>(shards);
-  p.fallbacks = engine.alloc_fallbacks();
-  return p;
-}
-
 struct TraceOverheadResult {
   double sync_producer_sec = 0.0;        ///< emit+flush time, sync sink.
   double background_producer_sec = 0.0;  ///< emit+flush time, bg sink.
@@ -805,7 +653,6 @@ bool write_report(const std::string& path, const ChurnResult& churn,
                   const TraceOverheadResult& trace,
                   const MegaflowResult& mega,
                   const std::vector<ProfileSmokeResult>& profiles,
-                  const std::vector<ShardScalingPoint>& scaling,
                   bool smoke) {
   using idseval::results::Doc;
   Doc report = Doc::object();
@@ -914,36 +761,6 @@ bool write_report(const std::string& path, const ChurnResult& churn,
     env_profiles.push(std::move(entry));
   }
   report.set("environment_profiles", std::move(env_profiles));
-
-  Doc shard_scaling = Doc::array();
-  for (const ShardScalingPoint& p : scaling) {
-    Doc point = Doc::object();
-    point.set("shards", p.shards)
-        .set("events_per_sec", std::round(p.events_per_sec))
-        .set("packets_per_sec", std::round(p.packets_per_sec))
-        .set("flows", p.flows)
-        .set("windows", p.windows)
-        .set("cross_shard_messages", p.cross_shard_messages)
-        .set("barrier_stall_mean_sec",
-             std::round(p.barrier_stall_mean_sec * 1e6) / 1e6)
-        .set("barrier_stall_max_sec",
-             std::round(p.barrier_stall_max_sec * 1e6) / 1e6)
-        .set("speedup_vs_one_shard",
-             speed_doc(scaling[0].events_per_sec > 0.0
-                           ? p.events_per_sec / scaling[0].events_per_sec
-                           : 0.0));
-    shard_scaling.push(std::move(point));
-  }
-  Doc scaling_doc = Doc::object();
-  scaling_doc
-      .set("hardware_concurrency",
-           static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
-      .set("note",
-           "distributed plan, reproducible per shard count but not "
-           "shard-count-invariant; wall-clock speedup requires >= N "
-           "physical cores")
-      .set("points", std::move(shard_scaling));
-  report.set("shard_scaling", std::move(scaling_doc));
 
   report.set("callback_heap_fallbacks",
              churn.fallbacks + bed.fallbacks + fan_on.fallbacks +
@@ -1077,22 +894,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(p.pool_grown_variants));
   }
 
-  std::vector<ShardScalingPoint> scaling;
-  for (const std::size_t shards :
-       smoke ? std::vector<std::size_t>{1, 2}
-             : std::vector<std::size_t>{1, 2, 4, 8}) {
-    const ShardScalingPoint p = shard_scaling_run(shards, smoke);
-    scaling.push_back(p);
-    std::printf("shards=%zu:%11.0f events/sec %10.0f packets/sec "
-                "(%.2fx, %llu windows, %llu cross-shard msgs, "
-                "stall mean %.3fs max %.3fs)\n",
-                p.shards, p.events_per_sec, p.packets_per_sec,
-                p.events_per_sec / scaling[0].events_per_sec,
-                static_cast<unsigned long long>(p.windows),
-                static_cast<unsigned long long>(p.cross_shard_messages),
-                p.barrier_stall_mean_sec, p.barrier_stall_max_sec);
-  }
-
   std::uint64_t fallbacks = churn.fallbacks + bed.fallbacks +
                             fan_on.fallbacks + fan_off.fallbacks +
                             mega.fallbacks;
@@ -1101,7 +902,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fallbacks));
 
   if (!write_report(out, churn, bed, scan, fan_on, fan_off, trace, mega,
-                    profiles, scaling, smoke)) {
+                    profiles, smoke)) {
     return 1;
   }
   std::printf("report: %s\n", out.c_str());
@@ -1189,23 +990,6 @@ int main(int argc, char** argv) {
                      "packets/sec not met (%.0f), warn-only\n",
                      p.name.c_str(), p.floor, p.packets_per_sec);
       }
-    }
-  }
-
-  // Shard-scaling floor — warn-only by design: CI containers often pin
-  // one core, where N shards time-slice a single CPU and the barrier
-  // protocol is pure overhead, so a hard wall-clock floor would gate on
-  // the machine, not the code. A collapse below half the 1-shard rate
-  // at 2 shards is still worth surfacing in the log.
-  if (scaling.size() >= 2 && scaling[0].events_per_sec > 0.0) {
-    const double ratio =
-        scaling[1].events_per_sec / scaling[0].events_per_sec;
-    if (ratio < 0.5) {
-      std::fprintf(stderr,
-                   "bench_netsim: warning — 2-shard run at %.2fx the "
-                   "1-shard rate (floor 0.5x, warn-only: needs >= 2 "
-                   "cores to scale, %u available)\n",
-                   ratio, std::thread::hardware_concurrency());
     }
   }
 

@@ -1,10 +1,8 @@
 #include "campaign/scheduler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "attack/kind.hpp"
 #include "campaign/store.hpp"
@@ -164,16 +162,7 @@ RunStats run_campaign(const CampaignSpec& spec, ResultStore& store,
   // drains. Every context shares the campaign's trace sink.
   std::vector<std::unique_ptr<harness::RunContext>> cell_ctxs(
       pending.size());
-  // Sharded cells each want spec.shards threads of their own, so clamp
-  // the worker count to keep jobs x shards within the machine instead of
-  // oversubscribing every core with barrier-spinning shard workers.
-  std::size_t jobs = options.jobs;
-  if (spec.shards > 1 && jobs > 1) {
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    jobs = std::max<std::size_t>(1, std::min(jobs, hw / spec.shards));
-  }
-  util::ThreadPool pool(jobs);
+  util::ThreadPool pool(options.jobs);
   pool.parallel_for(pending.size(), [&](std::size_t i) {
     const CampaignCell& cell = *pending[i];
     const auto cell_started = std::chrono::steady_clock::now();

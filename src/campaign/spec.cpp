@@ -154,9 +154,6 @@ util::Config CampaignSpec::to_config() const {
   config.set("external_hosts", std::to_string(external_hosts));
   config.set("warmup_sec", fmt_exact(warmup_sec));
   config.set("measure_sec", fmt_exact(measure_sec));
-  // Only serialized when sharded so pre-shards stores keep their
-  // fingerprint and stay resumable.
-  if (shards != 1) config.set("shards", std::to_string(shards));
   return config;
 }
 
@@ -204,8 +201,10 @@ void CampaignSpec::validate() const {
   if (warmup_sec < 0.0 || measure_sec <= 0.0) {
     throw std::invalid_argument("campaign spec: bad testbed window");
   }
-  if (shards == 0) {
-    throw std::invalid_argument("campaign spec: shards must be >= 1");
+  if (shards != 1) {
+    throw std::invalid_argument(
+        "campaign spec: sharded simulation was removed; results are "
+        "identical at shards = 1");
   }
   // Fail fast on typos rather than after hours of cells.
   for (const auto& name : profiles) {

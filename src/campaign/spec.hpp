@@ -46,12 +46,9 @@ struct CampaignSpec {
   std::size_t external_hosts = 4;
   double warmup_sec = 20.0;
   double measure_sec = 60.0;
-  /// Event-queue shards per cell simulation (TestbedConfig::shards).
-  /// Results are byte-identical at any value, so it is a performance
-  /// knob — but it still goes into the fingerprint (serialized only when
-  /// != 1, keeping stores from older specs resumable) so a resume that
-  /// silently changes the execution engine is refused like any other
-  /// spec edit.
+  /// Must be 1 (TestbedConfig::shards). validate() refuses any other
+  /// value, so specs and stores written for the removed sharded engine
+  /// fail cleanly; never serialized, so fingerprints are unaffected.
   std::size_t shards = 1;
 
   /// Full grid over the product catalog on the canonical profiles.

@@ -3,7 +3,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "results/doc.hpp"
@@ -105,22 +107,53 @@ void check_manifest(const std::string& line, const CampaignSpec& spec,
   }
 }
 
-std::map<std::size_t, CellResult> load_rows(std::istream& in,
-                                            const CampaignSpec& spec,
-                                            const std::string& path) {
-  std::string line;
-  if (!std::getline(in, line)) {
+/// A store file's rows plus how much of the file they account for.
+struct LoadedRows {
+  std::map<std::size_t, CellResult> results;
+  /// Length of the complete-row prefix. Shorter than the file when its
+  /// final line was torn by an interrupted append.
+  std::size_t complete_bytes = 0;
+  /// Whether that prefix ends in a newline (a later append must not glue
+  /// its row onto the last one).
+  bool ends_with_newline = true;
+};
+
+LoadedRows load_rows(std::istream& in, const CampaignSpec& spec,
+                     const std::string& path) {
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  std::size_t pos = 0;
+  LoadedRows rows;
+  bool manifest = true;
+  while (pos < text.size()) {
+    const std::size_t newline = text.find('\n', pos);
+    const bool terminated = newline != std::string::npos;
+    const std::size_t end = terminated ? newline : text.size();
+    const std::string line = text.substr(pos, end - pos);
+    if (manifest) {
+      check_manifest(line, spec, path);
+      manifest = false;
+    } else if (!terminated && !results::validate_json_line(line)) {
+      // Every row is written with its newline in one flushed append, so
+      // an unterminated unparsable final line is a row the writer was
+      // killed in the middle of: the cell never completed. Drop it; the
+      // scheduler re-runs that cell. Interior lines get no such grace.
+      break;
+    } else if (!line.empty()) {
+      CellResult result = deserialize_cell(line);
+      // Later rows win: a resumed run re-records previously failed cells.
+      const std::size_t index = result.cell.index;
+      rows.results.insert_or_assign(index, std::move(result));
+    }
+    pos = terminated ? end + 1 : end;
+    rows.complete_bytes = pos;
+    rows.ends_with_newline = terminated;
+  }
+  if (manifest) {
     throw std::invalid_argument("campaign store: " + path + " is empty");
   }
-  check_manifest(line, spec, path);
-  std::map<std::size_t, CellResult> results;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const CellResult result = deserialize_cell(line);
-    // Later rows win: a resumed run re-records previously failed cells.
-    results.insert_or_assign(result.cell.index, result);
-  }
-  return results;
+  return rows;
 }
 
 }  // namespace
@@ -255,11 +288,19 @@ ResultStore::ResultStore(std::string path, const CampaignSpec& spec,
                          bool fresh)
     : path_(std::move(path)) {
   bool exists = false;
+  bool needs_newline = false;
   if (!fresh) {
     std::ifstream in(path_);
     if (in.good()) {
       exists = true;
-      results_ = load_rows(in, spec, path_);
+      LoadedRows rows = load_rows(in, spec, path_);
+      in.close();
+      results_ = std::move(rows.results);
+      needs_newline = !rows.ends_with_newline;
+      // Cut a torn final row so appends resume on a line boundary.
+      if (rows.complete_bytes < std::filesystem::file_size(path_)) {
+        std::filesystem::resize_file(path_, rows.complete_bytes);
+      }
     }
   }
   file_ = std::fopen(path_.c_str(), exists ? "ab" : "wb");
@@ -267,6 +308,7 @@ ResultStore::ResultStore(std::string path, const CampaignSpec& spec,
     throw std::runtime_error("campaign store: cannot open " + path_ + ": " +
                              std::strerror(errno));
   }
+  if (needs_newline) std::fputc('\n', file_);
   if (!exists) {
     const std::string manifest = manifest_line(spec);
     std::fprintf(file_, "%s\n", manifest.c_str());
@@ -316,7 +358,7 @@ std::map<std::size_t, CellResult> ResultStore::load(
   if (!in.good()) {
     throw std::runtime_error("campaign store: cannot read " + path);
   }
-  return load_rows(in, spec, path);
+  return load_rows(in, spec, path).results;
 }
 
 }  // namespace idseval::campaign

@@ -34,8 +34,10 @@ class ResultStore {
   /// Opens the store at `path`. `fresh == true` truncates any existing
   /// file and writes a new manifest; `fresh == false` (resume) loads the
   /// existing rows first — throwing std::invalid_argument when the
-  /// manifest fingerprint does not match `spec` — and appends after
-  /// them. A missing file is created either way.
+  /// manifest fingerprint does not match `spec` or an interior row is
+  /// malformed — and appends after them. An unterminated, unparsable
+  /// final row (an append cut short by a kill) is truncated away, so
+  /// that cell simply re-runs. A missing file is created either way.
   ResultStore(std::string path, const CampaignSpec& spec, bool fresh);
   ~ResultStore();
 
@@ -60,7 +62,8 @@ class ResultStore {
   void append(const CellResult& result);
 
   /// Reads a store file without opening it for writing; verifies the
-  /// manifest against `spec` the same way resume does.
+  /// manifest against `spec` and skips a torn final row the same way
+  /// resume does (the file itself is left untouched).
   static std::map<std::size_t, CellResult> load(
       const std::string& path, const CampaignSpec& spec);
 

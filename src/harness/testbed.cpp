@@ -3,11 +3,11 @@
 #include "score/ledger.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "ids/scan_cache.hpp"
-#include "telemetry/registry.hpp"
 #include "util/strfmt.hpp"
 
 namespace idseval::harness {
@@ -20,16 +20,19 @@ Testbed::Testbed(TestbedConfig config, const products::ProductModel* model,
                  double sensitivity)
     : config_(std::move(config)),
       model_(model),
-      sensitivity_(sensitivity),
-      engine_(netsim::ShardPlan::central(config_.shards)),
-      sim_(engine_.hub()) {
+      sensitivity_(sensitivity) {
+  if (config_.shards != 1) {
+    throw std::invalid_argument(
+        "Testbed: shards must be 1 (sharded simulation was removed; "
+        "results are identical at shards = 1)");
+  }
   build();
 }
 
 Testbed::~Testbed() = default;
 
 void Testbed::build() {
-  net_ = std::make_unique<netsim::Network>(engine_, engine_.plan());
+  net_ = std::make_unique<netsim::Network>(sim_);
 
   // Internal enclave: 10.0.0.x on a fast LAN.
   for (std::size_t i = 0; i < config_.internal_hosts; ++i) {
@@ -42,14 +45,12 @@ void Testbed::build() {
         net_->add_host(util::cat("node", i + 1), addr, spec,
                        config_.host_cpu_ops_per_sec);
     internal_.push_back(addr);
-    // Record production delivery latency for induced-latency measurement.
-    // Each host accumulates on its own shard's thread and clock; the
-    // accumulators merge in host order at collect().
+    // Record production delivery latency for induced-latency measurement;
+    // the per-host accumulators merge in host order at collect().
     host_delivery_.push_back(std::make_unique<HostDelivery>());
     HostDelivery* hd = host_delivery_.back().get();
-    netsim::Simulator* host_sim = &net_->sim_of(addr);
-    host->add_receiver([hd, host_sim](const netsim::Packet& p) {
-      const double sec = (host_sim->now() - p.created).sec();
+    host->add_receiver([this, hd](const netsim::Packet& p) {
+      const double sec = (sim_.now() - p.created).sec();
       hd->latency.add(sec);
       hd->hist.add(sec);
     });
@@ -160,17 +161,17 @@ RunResult Testbed::run_phases(const Inject& inject) {
   // --- Phase 1: warmup. Anomaly engines learn the clean baseline. --------
   if (pipeline_ != nullptr) pipeline_->set_learning(true);
   flowgen_->start(measure_end);  // arrivals span warmup + measurement
-  engine_.run_until(warmup_end);
+  sim_.run_until(warmup_end);
 
   // --- Phase 2: measurement. Counters reset; attacks injected. -----------
-  // All phase-boundary actions run on this thread while every shard
-  // idles at the barrier with its clock aligned to the phase end.
   if (pipeline_ != nullptr) {
     pipeline_->set_learning(false);
     pipeline_->reset_counters();
     // Evidence recording covers exactly the scored window; warmup
     // observations never pollute the score ledger.
-    if (score_ledger_ != nullptr) attach_score_ledger();
+    if (score_ledger_ != nullptr) {
+      pipeline_->set_evidence_sink(score_ledger_);
+    }
   }
   net_->reset_link_stats();
   for (const auto& hd : host_delivery_) {
@@ -181,63 +182,19 @@ RunResult Testbed::run_phases(const Inject& inject) {
     net_->find_host(addr)->begin_accounting(sim_.now());
   }
 
-  // Attack traffic is injected at the barrier; step times are relative
-  // to the measurement start the callback receives.
+  // Attack step times are relative to the measurement start the callback
+  // receives.
   inject(warmup_end);
 
-  engine_.run_until(measure_end);
+  sim_.run_until(measure_end);
   for (Ipv4 addr : internal_) {
     net_->find_host(addr)->end_accounting(sim_.now());
   }
 
   // --- Phase 3: drain. Let queued analysis and notifications complete. ---
-  engine_.run_until(drain_end);
-
-  // Fold per-shard state back into the ambient world in shard order:
-  // telemetry registries into the caller's registry, and (in collect)
-  // per-shard evidence ledgers into the main score ledger.
-  if (telemetry::Registry* ambient = telemetry::current()) {
-    engine_.merge_registries_into(*ambient);
-  }
-  for (std::size_t s = 1; s < engine_.shards(); ++s) {
-    // Reset either way so a later run() never double-merges (and an
-    // ambient-less run discards shard telemetry exactly like it
-    // discards hub telemetry).
-    engine_.registry(s)->reset();
-  }
+  sim_.run_until(drain_end);
 
   return collect(warmup_end, measure_end);
-}
-
-void Testbed::attach_score_ledger() {
-  if (engine_.shards() <= 1 || pipeline_->agents().empty()) {
-    pipeline_->set_evidence_sink(score_ledger_);
-    return;
-  }
-  // Host agents on remote shards record into per-shard ledgers (each
-  // written only by its shard's thread); hub-resident detectors share
-  // the main ledger. collect() merges shard ledgers in shard order,
-  // which reproduces the single-ledger result exactly because the
-  // evidence combine is pure selection.
-  shard_score_ledgers_.clear();
-  shard_score_ledgers_.resize(engine_.shards());
-  for (const auto& sensor : pipeline_->sensors()) {
-    sensor->set_evidence_sink(score_ledger_);
-  }
-  for (const auto& agent : pipeline_->agents()) {
-    const std::size_t shard = agent->shard();
-    if (shard == 0) {
-      agent->set_evidence_sink(score_ledger_);
-      continue;
-    }
-    if (!shard_score_ledgers_[shard]) {
-      // Construct under the shard's registry so the ledger's flow-table
-      // telemetry binds shard-locally, not into the hub's counters.
-      telemetry::ScopedRegistry scope(engine_.registry(shard));
-      shard_score_ledgers_[shard] = std::make_unique<score::ScoreLedger>();
-    }
-    agent->set_evidence_sink(shard_score_ledgers_[shard].get());
-  }
 }
 
 RunResult Testbed::run_clean() {
@@ -250,10 +207,6 @@ RunResult Testbed::collect(SimTime measure_start, SimTime measure_end) {
   r.sensitivity = sensitivity_;
   const double window_sec = (measure_end - measure_start).sec();
   if (score_ledger_ != nullptr) {
-    for (const auto& shard_ledger : shard_score_ledgers_) {
-      if (shard_ledger) score_ledger_->merge_from(*shard_ledger);
-    }
-    shard_score_ledgers_.clear();
     score_ledger_->finalize(ledger_, measure_start, measure_end);
   }
 
@@ -401,8 +354,7 @@ RunResult Testbed::collect(SimTime measure_start, SimTime measure_end) {
   r.total_streams = streams_.total_streams_seen();
 
   // --- Production latency --------------------------------------------------
-  // Merge the per-host accumulators in host order — deterministic at
-  // every shard count, since each host's own sample sequence is.
+  // Merge the per-host accumulators in host order.
   util::RunningStats delivery_latency;
   util::LogHistogram delivery_hist;
   for (const auto& hd : host_delivery_) {

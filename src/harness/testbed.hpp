@@ -43,12 +43,9 @@ struct TestbedConfig {
   /// Same-tick packets per flood train for attack floods (see
   /// AttackEmitter::set_flood_train); 1 = legacy per-packet emission.
   std::uint32_t flood_train = 1;
-  /// Event-queue shards the simulation runs on (netsim::ShardedSimulator,
-  /// central plan): shard 0 keeps traffic generation, the switch, every
-  /// uplink, and the IDS pipeline; internal hosts hash onto shards
-  /// 1..N-1, which execute their downlink deliveries and host agents.
-  /// Results are byte-identical at every shard count; 1 = the legacy
-  /// single-queue engine with no barriers or mailboxes.
+  /// Must be 1: the testbed runs on one event queue. Any other value
+  /// throws std::invalid_argument from the Testbed constructor, so a
+  /// caller still asking for shards fails loudly, not silently.
   std::size_t shards = 1;
   /// Interned-payload scan cache in the detection engines (ISSUE 9):
   /// false (--no-scan-cache) replays the exact legacy full-rescan path.
@@ -169,9 +166,7 @@ class Testbed {
   /// Convenience: run with no attacks at all (pure load measurement).
   RunResult run_clean();
 
-  /// The hub shard's simulator (the only one at shards == 1).
   netsim::Simulator& sim() noexcept { return sim_; }
-  netsim::ShardedSimulator& engine() noexcept { return engine_; }
   netsim::Network& net() noexcept { return *net_; }
   ids::Pipeline* pipeline() noexcept { return pipeline_.get(); }
   const traffic::TransactionLedger& ledger() const noexcept {
@@ -186,13 +181,9 @@ class Testbed {
 
  private:
   void build();
-  /// Wires the evidence sink(s): one shared ledger when everything runs
-  /// on the hub, per-shard ledgers for remote host agents otherwise.
-  void attach_score_ledger();
   /// The shared three-phase run skeleton (warmup / measure / drain).
-  /// `inject` runs at the phase-2 barrier, on this thread, with every
-  /// shard idle and clock-aligned — it schedules the attack traffic for
-  /// the measurement window starting at `measure_start`.
+  /// `inject` runs at the phase-2 boundary and schedules the attack
+  /// traffic for the measurement window starting at `measure_start`.
   template <class Inject>
   RunResult run_phases(const Inject& inject);
   RunResult collect(netsim::SimTime measure_start,
@@ -202,13 +193,8 @@ class Testbed {
   const products::ProductModel* model_;
   double sensitivity_;
   score::ScoreLedger* score_ledger_ = nullptr;
-  /// Per-shard evidence ledgers for host agents on remote shards (index
-  /// = shard; 0 unused), merged into score_ledger_ in shard order before
-  /// finalize. Only populated when a ledger is set and shards > 1.
-  std::vector<std::unique_ptr<score::ScoreLedger>> shard_score_ledgers_;
 
-  netsim::ShardedSimulator engine_;
-  netsim::Simulator& sim_;  ///< engine_.hub(): the shard-0 clock.
+  netsim::Simulator sim_;
   std::unique_ptr<netsim::Network> net_;
   std::unique_ptr<ids::Pipeline> pipeline_;
   /// One pool per simulation, shared by background and attack traffic;
@@ -221,11 +207,10 @@ class Testbed {
 
   std::vector<netsim::Ipv4> internal_;
   std::vector<netsim::Ipv4> external_;
-  /// Production-path delivery latency, accumulated per host so a host on
-  /// a remote shard records on its own thread; collect() merges them in
-  /// host order, which makes the aggregate identical at every shard
-  /// count (each host sees the same delivery sequence regardless of
-  /// which shard executes it).
+  /// Production-path delivery latency, accumulated per host; collect()
+  /// merges them in host order. The golden hash pins that summation
+  /// order: one shared accumulator would move the floating-point
+  /// latency fields.
   struct HostDelivery {
     util::RunningStats latency;       ///< Production path, seconds.
     util::LogHistogram hist;          ///< For the real p99.

@@ -56,21 +56,13 @@ void HostAgent::set_on_detection(DetectionFn fn) {
   on_detection_ = std::move(fn);
   sensor_->set_on_detection([this](const Detection& d) {
     // The finding leaves the host now but reaches the analyzer tier only
-    // after the report transit delay; the hand-off always lands on the
-    // hub clock (where analyzers, monitor, and the management network
-    // live), via the engine mailboxes when the agent's shard is remote.
+    // after the report transit delay, on this agent's lane.
     // Init-capture: plain [this, d] would give the closure a `const
     // Detection` member (d is a const reference), demoting its move
     // constructor to a throwing string copy and spilling the callback
     // off the inline buffer.
-    const SimTime arrive = sim_.now() + config_.report_latency;
-    if (engine_ != nullptr && shard_ != 0) {
-      engine_->post(shard_, 0, arrive, lane_,
-                    [this, d = Detection(d)] { deliver_report(d); });
-    } else {
-      net_.sim().schedule_at_lane(
-          arrive, lane_, [this, d = Detection(d)] { deliver_report(d); });
-    }
+    sim_.schedule_at_lane(sim_.now() + config_.report_latency, lane_,
+                          [this, d = Detection(d)] { deliver_report(d); });
   });
 }
 
@@ -78,17 +70,15 @@ void HostAgent::deliver_report(const Detection& d) {
   if (config_.report_over_network &&
       host_.address() != config_.report_sink) {
     // A real report packet: multi-host IDSs consume network bandwidth
-    // by transmitting logging information (§2.1). Ids and timestamps
-    // come from the hub simulator, which is the one this code runs on.
+    // by transmitting logging information (§2.1).
     netsim::FiveTuple tuple;
     tuple.src_ip = host_.address();
     tuple.dst_ip = config_.report_sink;
     tuple.src_port = kMgmtPort;
     tuple.dst_port = kMgmtPort;
     tuple.proto = netsim::Protocol::kTcp;
-    netsim::Simulator& hub = net_.sim();
     Packet report = netsim::make_packet(
-        hub.next_packet_id(), /*flow_id=*/0, hub.now(), tuple,
+        sim_.next_packet_id(), /*flow_id=*/0, sim_.now(), tuple,
         std::string(config_.report_bytes, 'r'));
     net_.send(report);
     ++reports_sent_;

@@ -43,10 +43,7 @@ struct HostAgentConfig {
   /// Transit delay between a detection on the monitored host and its
   /// arrival at the analyzer tier — agents report over the management
   /// network, not by function call, so findings land a beat later than
-  /// the packet that triggered them. In sharded runs this is also the
-  /// declared agent->hub channel delay (the conservative lookahead needs
-  /// it strictly positive), and the same delayed dispatch runs at every
-  /// shard count so results are shard-count invariant.
+  /// the packet that triggered them.
   netsim::SimTime report_latency = netsim::SimTime::from_us(150);
 };
 
@@ -74,20 +71,9 @@ class HostAgent {
 
   void set_on_detection(DetectionFn fn);
 
-  /// Routes this agent's delayed reports: detections arrive at the
-  /// analyzer tier (which always lives on the hub clock) after
-  /// config.report_latency, on event lane `lane`. With an engine and a
-  /// non-zero shard the hand-off crosses shards through the engine's
-  /// mailboxes; otherwise it is a lane'd schedule on the hub simulator.
-  /// Either way the (when, lane, per-agent order) key is identical, so
-  /// the merged order matches the serial one.
-  void set_report_channel(netsim::ShardedSimulator* engine,
-                          std::size_t shard, std::uint32_t lane) noexcept {
-    engine_ = engine;
-    shard_ = shard;
-    lane_ = lane;
-  }
-  std::size_t shard() const noexcept { return shard_; }
+  /// Routes this agent's delayed reports: detections reach the analyzer
+  /// tier config.report_latency later, on event lane `lane`.
+  void set_report_channel(std::uint32_t lane) noexcept { lane_ = lane; }
 
   void set_sensitivity(double s) noexcept { sensor_->set_sensitivity(s); }
   void set_evidence_sink(EvidenceSink* sink) noexcept {
@@ -104,8 +90,8 @@ class HostAgent {
   std::uint64_t reports_sent() const noexcept { return reports_sent_; }
 
  private:
-  /// Runs on the hub clock at detection time + report_latency: emits the
-  /// optional report packet and forwards to the analyzer callback.
+  /// Runs at detection time + report_latency: emits the optional report
+  /// packet and forwards to the analyzer callback.
   void deliver_report(const Detection& d);
   void observe(const netsim::Packet& packet);
   /// Same-tick delivery batch off the host downlink: logging ops are
@@ -113,17 +99,13 @@ class HostAgent {
   /// batched ingest. Falls back per packet around mgmt-port traffic.
   void observe_batch(const netsim::Packet* packets, std::size_t count);
 
-  netsim::Simulator& sim_;  ///< The monitored host's shard clock.
+  netsim::Simulator& sim_;
   netsim::Network& net_;
   netsim::Host& host_;
   HostAgentConfig config_;
   std::unique_ptr<Sensor> sensor_;
   DetectionFn on_detection_;
-  netsim::ShardedSimulator* engine_ = nullptr;
-  std::size_t shard_ = 0;
   std::uint32_t lane_ = 0;
-  /// Written only by deliver_report (hub-side), so a remote agent's
-  /// sensing thread never touches it.
   std::uint64_t reports_sent_ = 0;
   bool attached_ = false;
 };

@@ -1,6 +1,5 @@
 #include "ids/pipeline.hpp"
 
-#include <optional>
 #include <stdexcept>
 
 #include "util/strfmt.hpp"
@@ -275,7 +274,6 @@ void Pipeline::attach(const std::vector<netsim::Ipv4>& agent_hosts) {
   }
 
   if (config_.use_host_agents) {
-    netsim::ShardedSimulator* engine = net_.engine();
     for (std::size_t i = 0; i < agent_hosts.size(); ++i) {
       netsim::Host* host = net_.find_host(agent_hosts[i]);
       if (host == nullptr) {
@@ -291,34 +289,20 @@ void Pipeline::attach(const std::vector<netsim::Ipv4>& agent_hosts) {
       }
       SensorConfig agent_sc = config_.agent_sensor;
       agent_sc.telemetry_scope = util::cat("agent.", i);
-      // The agent lives on its host's shard: its inner sensor runs on
-      // that shard's clock, and when the shard is remote the agent is
-      // built under the shard's registry so every telemetry handle it
-      // binds (aggregate and scoped alike) lands shard-locally — shard
-      // registries merge into the ambient one at finalize.
-      const std::size_t shard = net_.shard_of(agent_hosts[i]);
-      const bool remote = engine != nullptr && shard != 0;
-      std::unique_ptr<HostAgent> agent;
-      {
-        std::optional<telemetry::ScopedRegistry> scope;
-        if (remote) scope.emplace(engine->registry(shard));
-        agent = std::make_unique<HostAgent>(net_.sim_of(agent_hosts[i]),
-                                            net_, *host, ac, agent_sc);
-        if (config_.signature_engine) {
-          agent->set_signature_engine(std::make_unique<SignatureEngine>(
-              config_.rules,
-              SignatureEngineOptions{config_.sensitivity, true,
-                                     config_.stream_reassembly}));
-        }
-        if (config_.anomaly_engine) {
-          AnomalyEngineOptions opts = config_.anomaly;
-          opts.sensitivity = config_.sensitivity;
-          agent->set_anomaly_engine(std::make_unique<AnomalyEngine>(opts));
-        }
+      auto agent =
+          std::make_unique<HostAgent>(sim_, net_, *host, ac, agent_sc);
+      if (config_.signature_engine) {
+        agent->set_signature_engine(std::make_unique<SignatureEngine>(
+            config_.rules,
+            SignatureEngineOptions{config_.sensitivity, true,
+                                   config_.stream_reassembly}));
       }
-      if (remote) engine->add_channel(shard, 0, ac.report_latency);
-      agent->set_report_channel(remote ? engine : nullptr, shard,
-                                net_.alloc_lane());
+      if (config_.anomaly_engine) {
+        AnomalyEngineOptions opts = config_.anomaly;
+        opts.sensitivity = config_.sensitivity;
+        agent->set_anomaly_engine(std::make_unique<AnomalyEngine>(opts));
+      }
+      agent->set_report_channel(net_.alloc_lane());
       const std::size_t source = config_.sensor_count + i;
       agent->set_on_detection([this, source](const Detection& d) {
         analyzer_for(source).submit(d);

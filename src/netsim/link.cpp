@@ -67,50 +67,10 @@ bool Link::send(const Packet& packet) {
   if (coalesce_ && !groups_.empty() && groups_.back().when == arrival) {
     ++groups_.back().count;
   } else {
-    const bool was_idle = groups_.empty();
     groups_.push_back({arrival, 1});
-    if (remote_flush_) {
-      // Remote mode: groups accumulate until a barrier flush; announce
-      // the empty -> non-empty transition so the engine tracks us dirty.
-      if (was_idle && on_first_pending_) on_first_pending_();
-    } else {
-      sim_.schedule_at_lane(arrival, lane_, [this] { deliver_group(); });
-    }
+    sim_.schedule_at_lane(arrival, lane_, [this] { deliver_group(); });
   }
   return true;
-}
-
-void Link::set_remote_flush(RemoteFlushFn fn,
-                            std::function<void()> on_first_pending) {
-  remote_flush_ = std::move(fn);
-  on_first_pending_ = std::move(on_first_pending);
-}
-
-void Link::flush_remote(SimTime global_min) {
-  const SimTime bound = global_min + latency_;
-  while (!groups_.empty() && groups_.front().when < bound) {
-    const DeliveryGroup group = groups_.front();
-    groups_.pop_front();
-    std::vector<Packet> batch;
-    batch.reserve(group.count);
-    for (std::uint32_t i = 0; i < group.count; ++i) {
-      batch.push_back(std::move(in_flight_.front()));
-      in_flight_.pop_front();
-    }
-    remote_flush_(group.when, std::move(batch));
-  }
-}
-
-void Link::deliver_remote_batch(std::vector<Packet>& batch) {
-  stats_.delivered_packets += batch.size();
-  std::uint64_t bytes = 0;
-  for (const Packet& p : batch) bytes += p.wire_bytes();
-  stats_.delivered_bytes += bytes;
-  if (deliver_batch_) {
-    deliver_batch_(batch.data(), batch.size());
-  } else if (deliver_) {
-    for (const Packet& p : batch) deliver_(p);
-  }
 }
 
 void Link::deliver_group() {

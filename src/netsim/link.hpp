@@ -68,44 +68,9 @@ class Link {
 
   /// Delivery-event lane (see Simulator::schedule_at_lane). Networks
   /// assign each link a unique lane in attach order so same-tick
-  /// deliveries on different links fire in a canonical order regardless
-  /// of which shard scheduled them.
+  /// deliveries on different links fire in a canonical order.
   void set_lane(std::uint32_t lane) noexcept { lane_ = lane; }
   std::uint32_t lane() const noexcept { return lane_; }
-
-  // -- Cross-shard remote delivery --------------------------------------
-  //
-  // A remote link's send side lives on one shard and its receive side on
-  // another. Instead of scheduling local delivery events, final delivery
-  // groups are handed to `fn` at shard barriers; the receiving shard
-  // replays them through deliver_remote_batch(), which updates only the
-  // delivered_* stats fields (the send side owns offered/dropped — the
-  // two field sets are disjoint, so the halves never race).
-
-  using RemoteFlushFn =
-      std::function<void(SimTime when, std::vector<Packet>&& batch)>;
-  /// Switches the link to remote mode. `on_first_pending` (optional) is
-  /// invoked on the send shard whenever the pending-group queue goes from
-  /// empty to non-empty — shard engines use it to keep a dirty list so
-  /// barrier flushes skip idle links.
-  void set_remote_flush(RemoteFlushFn fn,
-                        std::function<void()> on_first_pending = {});
-  bool remote() const noexcept { return static_cast<bool>(remote_flush_); }
-  /// Earliest pending remote group tick (SimTime::max() when none).
-  SimTime remote_pending_min() const noexcept {
-    return groups_.empty() ? SimTime::max() : groups_.front().when;
-  }
-  /// Emits every group whose arrival tick is final: given that no shard
-  /// will send before `global_min`, a group at tick t can still grow
-  /// until its send time t - latency, so t < global_min + latency means
-  /// the group can no longer change. Called at barriers, on the send
-  /// shard's thread, while all shards are quiescent.
-  void flush_remote(SimTime global_min);
-  /// Receive-side replay of one flushed group (runs on the dst shard).
-  void deliver_remote_batch(std::vector<Packet>& batch);
-  /// Dirty-list bookkeeping for the owning shard engine's flush scan.
-  bool remote_listed() const noexcept { return remote_listed_; }
-  void set_remote_listed(bool listed) noexcept { remote_listed_ = listed; }
 
   const std::string& name() const noexcept { return name_; }
   double bandwidth_bps() const noexcept { return bandwidth_bps_; }
@@ -137,13 +102,10 @@ class Link {
 
   DeliverFn deliver_;
   DeliverBatchFn deliver_batch_;
-  RemoteFlushFn remote_flush_;
-  std::function<void()> on_first_pending_;
   LinkStats stats_;
   std::size_t queued_ = 0;      ///< Packets queued or in serialization.
   SimTime busy_until_;          ///< When the transmitter frees up.
   bool coalesce_ = true;
-  bool remote_listed_ = false;
   std::uint32_t lane_ = 0;
 
   std::deque<Packet> in_flight_;       ///< FIFO toward delivery.

@@ -1,44 +1,11 @@
 #include "netsim/network.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace idseval::netsim {
 
 Network::Network(Simulator& sim) : sim_(sim), switch_(sim) {}
-
-Network::Network(ShardedSimulator& engine, const ShardPlan& plan)
-    : sim_(engine.hub()), switch_(engine.hub()), engine_(&engine),
-      plan_(plan) {
-  if (plan_.shards() > 1) {
-    // One barrier source for all this network's remote downlinks: their
-    // send side (the switch) lives on the hub shard, so the hub's flush
-    // phase drains them.
-    engine_->add_source(
-        0, ShardedSimulator::Source{
-               [this] {
-                 SimTime m = SimTime::max();
-                 for (const Link* l : dirty_remote_) {
-                   m = std::min(m, l->remote_pending_min());
-                 }
-                 return m;
-               },
-               [this](SimTime global_min) {
-                 auto it = dirty_remote_.begin();
-                 while (it != dirty_remote_.end()) {
-                   Link* l = *it;
-                   l->flush_remote(global_min);
-                   if (l->remote_pending_min() == SimTime::max()) {
-                     l->set_remote_listed(false);
-                     it = dirty_remote_.erase(it);
-                   } else {
-                     ++it;
-                   }
-                 }
-               }});
-  }
-}
 
 Host* Network::attach(const std::string& name, Ipv4 addr,
                       const LinkSpec& spec, double cpu_ops_per_sec) {
@@ -48,9 +15,6 @@ Host* Network::attach(const std::string& name, Ipv4 addr,
   }
   Attachment a;
   a.host = std::make_unique<Host>(name, addr, cpu_ops_per_sec);
-  // Both link halves are driven from the hub clock: the uplink entirely,
-  // the downlink on its send (switch) side; a remote downlink's receive
-  // side replays on the host's shard via the engine mailboxes.
   a.uplink = std::make_unique<Link>(sim_, name + ".up", spec.bandwidth_bps,
                                     spec.latency, spec.queue_capacity);
   a.downlink = std::make_unique<Link>(sim_, name + ".down",
@@ -65,31 +29,10 @@ Host* Network::attach(const std::string& name, Ipv4 addr,
   a.downlink->set_deliver_batch([host](const Packet* p, std::size_t n) {
     host->deliver_batch(p, n);
   });
-  if (const std::size_t shard = shard_of(addr); shard != 0) {
-    wire_remote_downlink(a.downlink.get(), shard, spec);
-  }
   switch_.attach(addr, a.downlink.get());
   attachments_.emplace(addr.value(), std::move(a));
   host_order_.push_back(host);
   return host;
-}
-
-void Network::wire_remote_downlink(Link* downlink, std::size_t shard,
-                                   const LinkSpec& spec) {
-  engine_->add_channel(0, shard, spec.latency);
-  downlink->set_remote_flush(
-      [this, downlink, shard](SimTime when, std::vector<Packet>&& batch) {
-        engine_->post(0, shard, when, downlink->lane(),
-                      [downlink, b = std::move(batch)]() mutable {
-                        downlink->deliver_remote_batch(b);
-                      });
-      },
-      [this, downlink] {
-        if (!downlink->remote_listed()) {
-          downlink->set_remote_listed(true);
-          dirty_remote_.push_back(downlink);
-        }
-      });
 }
 
 Host* Network::add_host(const std::string& name, Ipv4 addr,

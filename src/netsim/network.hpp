@@ -12,7 +12,6 @@
 #include "netsim/host.hpp"
 #include "netsim/link.hpp"
 #include "netsim/packet.hpp"
-#include "netsim/sharded.hpp"
 #include "netsim/simulator.hpp"
 #include "netsim/switch.hpp"
 
@@ -27,13 +26,6 @@ struct LinkSpec {
 class Network {
  public:
   explicit Network(Simulator& sim);
-
-  /// Sharded-central topology: traffic generation, the LAN switch, and
-  /// every uplink stay on the engine's hub shard; hosts whose plan shard
-  /// is non-zero receive their downlink deliveries (and run their host
-  /// agents) on that shard, fed through cross-shard mailboxes. With a
-  /// one-shard plan this is exactly the legacy single-queue topology.
-  Network(ShardedSimulator& engine, const ShardPlan& plan);
 
   /// Adds an internal (LAN) host. Returns a stable pointer owned by the
   /// network.
@@ -53,19 +45,6 @@ class Network {
   Switch& lan_switch() noexcept { return switch_; }
   const Switch& lan_switch() const noexcept { return switch_; }
   Simulator& sim() noexcept { return sim_; }
-
-  /// The shard engine behind this network, or nullptr for the legacy
-  /// single-simulator construction.
-  ShardedSimulator* engine() noexcept { return engine_; }
-  /// Shard that owns `addr`'s receive side (0 without an engine).
-  std::size_t shard_of(Ipv4 addr) const noexcept {
-    return engine_ ? plan_.shard_of(addr) : 0;
-  }
-  /// Simulator whose clock governs `addr`'s receive side — the hub for
-  /// legacy networks and hub-resident hosts, the host's shard otherwise.
-  Simulator& sim_of(Ipv4 addr) noexcept {
-    return engine_ ? engine_->shard(plan_.shard_of(addr)) : sim_;
-  }
 
   /// Allocates a fresh event lane (links take them in attach order; host
   /// agents draw theirs from the same sequence so every same-tick stream
@@ -101,20 +80,12 @@ class Network {
 
   Host* attach(const std::string& name, Ipv4 addr, const LinkSpec& spec,
                double cpu_ops_per_sec);
-  void wire_remote_downlink(Link* downlink, std::size_t shard,
-                            const LinkSpec& spec);
 
   Simulator& sim_;
   Switch switch_;
-  ShardedSimulator* engine_ = nullptr;
-  ShardPlan plan_;
   std::uint32_t next_lane_ = 1;
   std::unordered_map<std::uint32_t, Attachment> attachments_;
   std::vector<Host*> host_order_;
-  /// Remote downlinks with pending delivery groups, scanned by the hub
-  /// shard's barrier flush (order is irrelevant for determinism: the
-  /// injection sort on (when, lane, seq) canonicalizes it).
-  std::vector<Link*> dirty_remote_;
 };
 
 }  // namespace idseval::netsim

@@ -38,20 +38,14 @@ class Simulator {
   /// Schedules `cb` after a relative delay.
   void schedule_in(SimTime delay, Callback cb);
 
-  /// Lanes give same-tick events a canonical cross-entity order that does
-  /// not depend on which queue they were scheduled from: the tie-break key
-  /// is (lane, per-simulator sequence), so two events at the same tick on
-  /// different lanes compare the same whether they were pushed onto one
-  /// serial heap or injected from a cross-shard mailbox after a barrier.
-  /// Link deliveries and host-agent reports carry the lane of their stream
+  /// Lanes give same-tick events a canonical cross-entity order: the
+  /// tie-break key is (lane, schedule sequence), so two events at the same
+  /// tick on different lanes fire in lane order, not schedule order. Link
+  /// deliveries and host-agent reports carry the lane of their stream
   /// (assigned by Network in attach order); plain schedule_at uses lane 0.
+  /// The golden determinism hash pins this order.
   static constexpr std::uint32_t kMaxLane = (1u << 24) - 1;
   void schedule_at_lane(SimTime when, std::uint32_t lane, Callback cb);
-
-  /// Timestamp of the earliest pending event (SimTime::max() when empty).
-  SimTime next_event_time() const noexcept {
-    return heap_.empty() ? SimTime::max() : heap_.front().when;
-  }
 
   /// Runs events until the queue drains or `deadline` is passed.
   /// Returns the number of events executed.

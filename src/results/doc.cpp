@@ -378,9 +378,9 @@ class Parser {
     if (eof()) error("unexpected end of input");
     switch (peek()) {
       case '{':
-        return parse_object();
+        return parse_nested(&Parser::parse_object);
       case '[':
-        return parse_array();
+        return parse_nested(&Parser::parse_array);
       case '"':
         return Doc(parse_string());
       case 't':
@@ -395,6 +395,16 @@ class Parser {
       default:
         return parse_number();
     }
+  }
+
+  Doc parse_nested(Doc (Parser::*parse_container)()) {
+    if (depth_ == kMaxJsonDepth) {
+      error("nesting deeper than " + std::to_string(kMaxJsonDepth));
+    }
+    ++depth_;
+    Doc doc = (this->*parse_container)();
+    --depth_;
+    return doc;
   }
 
   Doc parse_object() {
@@ -611,6 +621,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< Open arrays/objects around pos_.
 };
 
 }  // namespace

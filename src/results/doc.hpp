@@ -12,6 +12,7 @@
 // 64-bit seeds round-trip exactly instead of sagging through a double.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -136,7 +137,10 @@ std::string to_json_pretty(const Doc& doc, int indent = 2);
 /// Strict parser for one complete JSON value; throws std::invalid_argument
 /// with a position-annotated message on malformed input. \uXXXX escapes
 /// (including surrogate pairs) decode to UTF-8. Integers that fit 64 bits
-/// keep integer kind; everything else becomes a double.
+/// keep integer kind; everything else becomes a double. Arrays and
+/// objects nest at most kMaxJsonDepth deep (idseval's own documents stay
+/// under ten); deeper input is a parse error, not unbounded recursion.
+inline constexpr std::size_t kMaxJsonDepth = 256;
 Doc parse_json(std::string_view text);
 
 /// True iff `line` is one complete JSON value (whitespace padding ok).

@@ -33,25 +33,6 @@ const ScoreLedger::FlowEvidence* ScoreLedger::find(
   return by_flow_.find(flow_id);
 }
 
-void ScoreLedger::merge_from(const ScoreLedger& other) {
-  observations_ += other.observations_;
-  other.by_flow_.for_each(
-      [this](const std::uint64_t& flow_id, const FlowEvidence& oev) {
-        FlowEvidence& ev = *by_flow_.try_emplace(flow_id).first;
-        ev.observations += oev.observations;
-        ev.max_strength = std::max(ev.max_strength, oev.max_strength);
-        const bool earlier =
-            oev.critical_sensitivity < ev.critical_sensitivity ||
-            (oev.critical_sensitivity == ev.critical_sensitivity &&
-             !oev.strict && ev.strict);
-        if (earlier) {
-          ev.critical_sensitivity = oev.critical_sensitivity;
-          ev.strict = oev.strict;
-          ev.channel = oev.channel;
-        }
-      });
-}
-
 void ScoreLedger::finalize(const traffic::TransactionLedger& truth,
                            netsim::SimTime begin, netsim::SimTime end) {
   samples_.clear();

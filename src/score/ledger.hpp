@@ -55,14 +55,6 @@ class ScoreLedger final : public ids::EvidenceSink {
     return samples_;
   }
 
-  /// Folds another ledger's evidence into this one with the same
-  /// earliest-evidence-wins rule observe() applies, so a set of per-shard
-  /// ledgers merged in shard order finalizes to exactly the samples a
-  /// single serially-fed ledger would have produced (the combine is pure
-  /// selection — min/max picks, never arithmetic on doubles). Must be
-  /// called before finalize().
-  void merge_from(const ScoreLedger& other);
-
   /// Clears all recorded evidence and finalized samples for reuse.
   void reset();
 

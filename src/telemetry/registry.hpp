@@ -95,11 +95,8 @@ class Registry {
   /// merges of the same registries in the same call order produce
   /// bit-identical aggregates regardless of insertion history. Callers
   /// own the call order: campaign aggregation merges per-cell registries
-  /// in cell-index order, sharded runs merge per-shard registries in
-  /// shard-index order.
+  /// in cell-index order, load probes in probe order.
   void merge_from(const Registry& other);
-  /// Deprecated spelling of merge_from (kept for older call sites).
-  void merge(const Registry& other) { merge_from(other); }
   void reset() noexcept;
   bool empty() const noexcept {
     return counters_.empty() && latencies_.empty();

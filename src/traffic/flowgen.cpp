@@ -42,10 +42,6 @@ void FlowGenerator::set_external_hosts(std::vector<Ipv4> hosts) {
   external_ = std::move(hosts);
 }
 
-void FlowGenerator::set_source_hosts(std::vector<Ipv4> hosts) {
-  sources_ = std::move(hosts);
-}
-
 void FlowGenerator::start(SimTime until) {
   if (internal_.empty()) {
     throw std::logic_error("FlowGenerator: no internal hosts configured");
@@ -91,8 +87,7 @@ void FlowGenerator::schedule_next_arrival() {
 Ipv4 FlowGenerator::pick_source() {
   const bool external =
       !external_.empty() && rng_.chance(profile_.external_fraction);
-  const auto& pool =
-      external ? external_ : (sources_.empty() ? internal_ : sources_);
+  const auto& pool = external ? external_ : internal_;
   return pool[rng_.index(pool.size())];
 }
 

@@ -43,13 +43,6 @@ class FlowGenerator {
   /// hosts only source (toward internal destinations) and receive replies.
   void set_internal_hosts(std::vector<netsim::Ipv4> hosts);
   void set_external_hosts(std::vector<netsim::Ipv4> hosts);
-  /// Restricts internal SOURCES to `hosts` while set_internal_hosts keeps
-  /// defining the destination pool. Distributed sharding uses this: each
-  /// shard's generator sources flows only from hosts attached to its own
-  /// Network (Network::send requires a local uplink) while destinations
-  /// span the whole enclave, so flows cross shards over the trunk fabric.
-  /// Empty (the default) means sources draw from the internal pool.
-  void set_source_hosts(std::vector<netsim::Ipv4> hosts);
 
   /// Scales the profile's arrival rate — the load knob for throughput
   /// sweeps (Table 3's load-dependent metrics).
@@ -118,7 +111,6 @@ class FlowGenerator {
 
   std::vector<netsim::Ipv4> internal_;
   std::vector<netsim::Ipv4> external_;
-  std::vector<netsim::Ipv4> sources_;  ///< Empty = internal_ sources.
   std::vector<double> mix_weights_;
 
   std::vector<FlowState> slab_;

@@ -1,5 +1,8 @@
 #include "campaign/spec.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace idseval::campaign {
@@ -107,6 +110,27 @@ TEST(CampaignSpecTest, RejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW(CampaignSpec::parse("internal_hosts = 0\n"),
                std::invalid_argument);
+}
+
+TEST(CampaignSpecTest, RefusesShardsOtherThanOne) {
+  // The sharded engine is gone: a spec (or a resumed store's spec) that
+  // still asks for it fails with a clear message, never silently.
+  try {
+    (void)CampaignSpec::parse("shards = 2\n");
+    FAIL() << "shards = 2 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "sharded simulation was removed; results are identical "
+                  "at shards = 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(CampaignSpec::parse("shards = 0\n"), std::invalid_argument);
+  const CampaignSpec one = CampaignSpec::parse("shards = 1\n");
+  EXPECT_EQ(one.shards, 1u);
+  // Never serialized: naming the default leaves the fingerprint alone.
+  EXPECT_EQ(one.to_string().find("shards"), std::string::npos);
+  EXPECT_EQ(one.fingerprint(), CampaignSpec::parse("").fingerprint());
 }
 
 TEST(CampaignSpecTest, WeightSetMatchesRequirementProfiles) {

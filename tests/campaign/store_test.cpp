@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "campaign/scheduler.hpp"
 
@@ -228,6 +230,73 @@ TEST_F(StoreTest, LoadRejectsGarbageFile) {
   std::ofstream(path_) << "garbage\n";
   EXPECT_THROW(ResultStore::load(path_, tiny_spec()),
                std::invalid_argument);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST_F(StoreTest, ResumeTruncatesATornFinalRowAndRerunsItsCell) {
+  // A campaign killed mid-append leaves a partial last line. Resume must
+  // drop it (the cell never finished), cut the file back to the last
+  // complete row, and append the re-run on a clean line.
+  const CampaignSpec spec = tiny_spec();
+  {
+    ResultStore store(path_, spec, /*fresh=*/true);
+    store.append(sample_result(0, true));
+    store.append(sample_result(1, true));
+  }
+  const std::string whole = read_file(path_);
+  const std::string intact = whole.substr(
+      0, whole.size() - serialize_cell(sample_result(1, true)).size() - 1);
+  std::filesystem::resize_file(path_, whole.size() - 40);
+
+  EXPECT_EQ(ResultStore::load(path_, spec).size(), 1u);
+  {
+    ResultStore resumed(path_, spec, /*fresh=*/false);
+    EXPECT_TRUE(resumed.has_ok(0));
+    EXPECT_FALSE(resumed.has_ok(1));  // the torn cell runs again
+    EXPECT_EQ(read_file(path_), intact);
+    resumed.append(sample_result(1, true));
+  }
+  EXPECT_EQ(read_file(path_), whole);
+}
+
+TEST_F(StoreTest, ResumeKeepsACompleteFinalRowMissingItsNewline) {
+  const CampaignSpec spec = tiny_spec();
+  {
+    ResultStore store(path_, spec, /*fresh=*/true);
+    store.append(sample_result(0, true));
+  }
+  const std::string whole = read_file(path_);
+  std::filesystem::resize_file(path_, whole.size() - 1);
+  {
+    ResultStore resumed(path_, spec, /*fresh=*/false);
+    EXPECT_TRUE(resumed.has_ok(0));
+    resumed.append(sample_result(1, true));
+  }
+  const auto results = ResultStore::load(path_, spec);
+  EXPECT_EQ(results.size(), 2u);
+  EXPECT_EQ(read_file(path_),
+            whole + serialize_cell(sample_result(1, true)) + "\n");
+}
+
+TEST_F(StoreTest, ResumeRefusesAMalformedInteriorRow) {
+  const CampaignSpec spec = tiny_spec();
+  {
+    ResultStore store(path_, spec, /*fresh=*/true);
+    store.append(sample_result(0, true));
+  }
+  std::string text = read_file(path_);
+  text += "{\"type\":\"cell\",\"ind\n";  // torn, but newline-terminated
+  text += serialize_cell(sample_result(1, true)) + "\n";
+  std::ofstream(path_, std::ios::binary | std::ios::trunc) << text;
+  EXPECT_THROW(ResultStore(path_, spec, /*fresh=*/false),
+               std::invalid_argument);
+  EXPECT_THROW(ResultStore::load(path_, spec), std::invalid_argument);
+  EXPECT_EQ(read_file(path_), text);  // a refused store is left untouched
 }
 
 }  // namespace

@@ -23,6 +23,11 @@ struct ConverterCase {
   bool log_sweep;
 };
 
+// Prints a case by name, which also names its tests. Without this gtest
+// prints the raw object bytes (the name pointer and std::function
+// internals), so the registered test names changed from build to build.
+void PrintTo(const ConverterCase& c, std::ostream* os) { *os << c.name; }
+
 class AutoscoreProperty : public ::testing::TestWithParam<ConverterCase> {};
 
 TEST_P(AutoscoreProperty, BoundedAndMonotone) {
@@ -92,10 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
                       [](double v) {
                         return score_lethal_dose_ratio(v);
                       },
-                      true, 1.0, 50.0, true}),
-    [](const ::testing::TestParamInfo<ConverterCase>& info) {
-      return info.param.name;
-    });
+                      true, 1.0, 50.0, true}));
 
 TEST(FnRatioProperty, MonotoneInMissesForFixedShare) {
   util::Rng rng(3);

@@ -13,14 +13,14 @@
 // 0xd00ebdec0cde9ddf). Re-baselined once more when bucket_len switched
 // from round-up to round-to-nearest so pooled lengths keep the profile's
 // mean bytes/packet instead of inflating every payload (that baseline
-// was 0x8ebff14e691bfd72). Re-baselined again when the sharded engine
-// landed: link deliveries now carry a per-link lane in the event key
-// (canonical same-tick ordering that holds on one heap or N), host-agent
-// operator reports travel over an explicit report-latency channel
-// instead of firing synchronously inside the sensor event, and delivery
-// latency is accumulated per host and merged in host order. All three
-// apply identically at every shard count — the tests below pin that the
-// hash is byte-identical at 1, 2, and 4 shards.
+// was 0x8ebff14e691bfd72). Re-baselined again when link deliveries
+// gained a per-link lane in the event key (canonical same-tick ordering
+// across entities), host-agent operator reports moved onto an explicit
+// report-latency hop instead of firing synchronously inside the sensor
+// event, and delivery latency became per-host accumulators merged in host
+// order. Those three changes came with a sharded event engine that was
+// later removed; they stay because the hash depends on them — dropping
+// lanes or folding the per-host accumulators would move this constant.
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -131,20 +131,14 @@ void hash_result(StreamHash& sh, const RunResult& r) {
 
 struct GoldenOptions {
   bool coalesce_delivery = true;
-  std::size_t shards = 1;
-  /// -1 = engine default (threaded iff >1 hardware thread or
-  /// IDSEVAL_SHARD_THREADS=1), 0 = force sequential, 1 = force threaded.
-  int threaded = -1;
   bool scan_cache = true;
 };
 
 std::uint64_t golden_run_hash(GoldenOptions opt = {}) {
   TestbedConfig cfg = golden_config();
-  cfg.shards = opt.shards;
   cfg.scan_cache = opt.scan_cache;
   const auto& model = products::product(products::ProductId::kGuardSecure);
   Testbed bed(cfg, &model, 0.5);
-  if (opt.threaded >= 0) bed.engine().set_threaded(opt.threaded == 1);
   bed.net().set_delivery_coalescing(opt.coalesce_delivery);
   StreamHash sh;
   bed.net().lan_switch().add_mirror(
@@ -186,28 +180,6 @@ TEST(DeterminismTest, CoalescingOffReproducesTheGoldenHash) {
   EXPECT_EQ(golden_run_hash({.coalesce_delivery = false}), kGoldenHash);
 }
 
-// Sharded execution must be an optimization, not a behavior change: the
-// same run partitioned over 2 or 4 event queues — cross-shard deliveries
-// crossing mailboxes at conservative-lookahead barriers — replays the
-// exact same bytes the single-queue engine produces. The (when, lane,
-// seq) injection order and the shard-order merges of per-host / per-shard
-// state are what make this hold.
-TEST(DeterminismTest, TwoShardsReproduceTheGoldenHash) {
-  EXPECT_EQ(golden_run_hash({.shards = 2}), kGoldenHash);
-}
-
-TEST(DeterminismTest, FourShardsReproduceTheGoldenHash) {
-  EXPECT_EQ(golden_run_hash({.shards = 4}), kGoldenHash);
-}
-
-TEST(DeterminismTest, ThreadedAndSequentialShardsAreIdentical) {
-  // The worker threads run the exact same per-shard work the sequential
-  // round-robin runs; the barrier protocol means neither order can see
-  // the other's in-window state.
-  EXPECT_EQ(golden_run_hash({.shards = 3, .threaded = 1}),
-            golden_run_hash({.shards = 3, .threaded = 0}));
-}
-
 // The golden scenario wrapped in a one-stage kill chain. singleton()
 // chains must degrade to the exact legacy Scenario::run path — same RNG
 // draws, same bytes, same hash — so configurations that never opt into
@@ -232,9 +204,8 @@ TEST(DeterminismTest, SingletonKillChainReproducesTheGoldenHash) {
   EXPECT_EQ(sh.h, kGoldenHash);
 }
 
-std::uint64_t chain_run_hash(std::size_t shards) {
+std::uint64_t chain_run_hash() {
   TestbedConfig cfg = golden_config();
-  cfg.shards = shards;
   const auto& model = products::product(products::ProductId::kGuardSecure);
   Testbed bed(cfg, &model, 0.5);
   StreamHash sh;
@@ -252,16 +223,7 @@ TEST(DeterminismTest, KillChainRunsAreReproducible) {
   // Multi-stage campaigns schedule dynamically (stage k+1 launches off
   // stage k's emission end), but one seed must still fully determine the
   // run: back-to-back replays are byte-identical.
-  EXPECT_EQ(chain_run_hash(1), chain_run_hash(1));
-}
-
-TEST(DeterminismTest, KillChainHashIsShardInvariant) {
-  // Staged launches ride the same (when, lane, seq) event keys as
-  // everything else, so partitioning the chain run over 2 or 4 event
-  // queues replays the exact same bytes.
-  const std::uint64_t base = chain_run_hash(1);
-  EXPECT_EQ(chain_run_hash(2), base);
-  EXPECT_EQ(chain_run_hash(4), base);
+  EXPECT_EQ(chain_run_hash(), chain_run_hash());
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "harness/testbed.hpp"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 namespace idseval::harness {
@@ -138,6 +140,16 @@ TEST(TestbedTest, StorageMeasured) {
       2, SimTime::zero(), SimTime::from_sec(15), 3, 3, 6);
   const RunResult r = bed.run(scenario);
   EXPECT_GT(r.storage_bytes_per_mb, 0.0);
+}
+
+TEST(TestbedTest, RejectsShardsOtherThanOne) {
+  // One event queue per testbed: any other shard count is refused at
+  // construction instead of being silently run serially.
+  TestbedConfig env = quick_env();
+  env.shards = 2;
+  EXPECT_THROW(Testbed(env, nullptr, 0.5), std::invalid_argument);
+  env.shards = 0;
+  EXPECT_THROW(Testbed(env, nullptr, 0.5), std::invalid_argument);
 }
 
 }  // namespace

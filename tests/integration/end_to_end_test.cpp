@@ -5,6 +5,7 @@
 
 #include "core/report.hpp"
 #include "harness/evaluate.hpp"
+#include "products/catalog.hpp"
 #include "products/scoring.hpp"
 #include "traffic/trace.hpp"
 
@@ -34,6 +35,14 @@ struct Case {
   const char* profile;
   std::uint64_t seed;
 };
+
+// Names each case after its contents. Without this gtest prints the raw
+// object bytes (padding and a string pointer), so the registered test
+// names changed from build to build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << products::to_string(c.product) << '_' << c.profile << "_seed"
+      << c.seed;
+}
 
 class ConfusionInvariants : public ::testing::TestWithParam<Case> {};
 

@@ -162,5 +162,34 @@ TEST(ParseJsonTest, AcceptsPaddedCompleteValues) {
   EXPECT_EQ(parse_json(" 42 ").as_i64(), 42);
 }
 
+TEST(ParseJsonTest, RejectsNestingBeyondTheDepthLimitCleanly) {
+  // Unbounded recursion on hostile input used to overflow the stack;
+  // 200k levels must now fail with an ordinary parse error.
+  const std::size_t deep = 200000;
+  const std::string arrays(deep, '[');
+  EXPECT_THROW(parse_json(arrays), std::invalid_argument);
+  EXPECT_FALSE(validate_json_line(arrays));
+  std::string objects;
+  for (std::size_t i = 0; i < deep; ++i) objects += "{\"k\":";
+  EXPECT_THROW(parse_json(objects), std::invalid_argument);
+  EXPECT_FALSE(validate_json_line(objects));
+  try {
+    (void)parse_json(arrays);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ParseJsonTest, AcceptsNestingUpToTheDepthLimit) {
+  const std::string at_limit = std::string(kMaxJsonDepth, '[') +
+                               std::string(kMaxJsonDepth, ']');
+  const Doc doc = parse_json(at_limit);
+  EXPECT_TRUE(doc.is_array());
+  const std::string over = "[" + at_limit + "]";
+  EXPECT_THROW(parse_json(over), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace idseval::results

@@ -86,52 +86,6 @@ TEST(ScoreLedgerTest, FinalizeWindowsOnTransactionStart) {
   EXPECT_DOUBLE_EQ(benign.critical_sensitivity, kNeverFires);
 }
 
-TEST(ScoreLedgerTest, MergedShardLedgersEqualSerialObservation) {
-  // The sharded testbed feeds one ledger per shard and folds them with
-  // merge_from before finalize; the fold must land on exactly the state
-  // a single serially-fed ledger reaches, because the combine is pure
-  // selection (min critical, max strength, summed counts).
-  ScoreLedger serial;
-  ScoreLedger shard_a;
-  ScoreLedger shard_b;
-  struct Obs {
-    std::uint64_t flow;
-    EvidenceChannel ch;
-    double strength, critical;
-    bool strict;
-    ScoreLedger* shard;
-  };
-  const Obs obs[] = {
-      {1, EvidenceChannel::kSignaturePattern, 0.9, 0.7, false, &shard_a},
-      {1, EvidenceChannel::kAnomaly, 2.0, 0.3, true, &shard_b},
-      {2, EvidenceChannel::kNovelty, 0.4, 0.5, true, &shard_a},
-      {2, EvidenceChannel::kAnomaly, 0.6, 0.5, false, &shard_b},
-      {3, EvidenceChannel::kSignaturePattern, 1.5, 0.9, true, &shard_b},
-  };
-  for (const Obs& o : obs) {
-    serial.observe(o.flow, o.ch, o.strength, o.critical, o.strict);
-    o.shard->observe(o.flow, o.ch, o.strength, o.critical, o.strict);
-  }
-  ScoreLedger merged;
-  merged.merge_from(shard_a);
-  merged.merge_from(shard_b);
-
-  EXPECT_EQ(merged.flows(), serial.flows());
-  EXPECT_EQ(merged.observations(), serial.observations());
-  for (const std::uint64_t flow : {1u, 2u, 3u}) {
-    const ScoreLedger::FlowEvidence* want = serial.find(flow);
-    const ScoreLedger::FlowEvidence* got = merged.find(flow);
-    ASSERT_NE(got, nullptr);
-    EXPECT_DOUBLE_EQ(got->critical_sensitivity, want->critical_sensitivity)
-        << "flow " << flow;
-    EXPECT_EQ(got->strict, want->strict) << "flow " << flow;
-    EXPECT_EQ(got->channel, want->channel) << "flow " << flow;
-    EXPECT_DOUBLE_EQ(got->max_strength, want->max_strength)
-        << "flow " << flow;
-    EXPECT_EQ(got->observations, want->observations) << "flow " << flow;
-  }
-}
-
 TEST(ScoreLedgerTest, ResetClearsEverything) {
   ScoreLedger ledger;
   ledger.observe(1, EvidenceChannel::kSignaturePattern, 0.5, 0.5, false);

@@ -136,9 +136,9 @@ TEST(RegistryTest, MergeOrderInvariantForTotals) {
 TEST(RegistryTest, FixedMergeOrderIsBitReproducible) {
   // Running-moment merges do floating-point arithmetic, so the combined
   // MEAN of three parts is only guaranteed bit-identical when the parts
-  // merge in the same order — which is why the sharded engine merges
-  // per-shard registries in shard-index order. Two same-order merges
-  // must agree to the last bit.
+  // merge in the same order — which is why campaigns merge per-cell
+  // registries in cell-index order. Two same-order merges must agree to
+  // the last bit.
   auto build = [] {
     Registry parts[3];
     for (int p = 0; p < 3; ++p) {
@@ -160,18 +160,18 @@ TEST(RegistryTest, FixedMergeOrderIsBitReproducible) {
 }
 
 TEST(RegistryTest, ResetAfterMergeKeepsHandlesLive) {
-  // The sharded testbed reuses per-shard registries across runs: merge
-  // into the ambient registry, then reset in place. Handles taken before
-  // the reset must keep recording into the same instruments.
-  Registry shard;
-  Counter& c = shard.counter("x");
+  // A registry reused across runs: merge into an aggregate, then reset
+  // in place. Handles taken before the reset must keep recording into
+  // the same instruments.
+  Registry part;
+  Counter& c = part.counter("x");
   c.increment(4);
   Registry total;
-  total.merge_from(shard);
-  shard.reset();
-  EXPECT_EQ(shard.counter("x").value(), 0u);
+  total.merge_from(part);
+  part.reset();
+  EXPECT_EQ(part.counter("x").value(), 0u);
   c.increment(2);
-  EXPECT_EQ(shard.counter("x").value(), 2u);
+  EXPECT_EQ(part.counter("x").value(), 2u);
   EXPECT_EQ(total.counter("x").value(), 4u);
 }
 

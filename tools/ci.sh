@@ -16,17 +16,14 @@ for preset in "${presets[@]}"; do
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j"${jobs}"
   if [ "${preset}" = "tsan" ]; then
-    # The thread-sanitizer leg targets the sharded engine. Force the
-    # per-shard worker threads ON (a single-core CI machine would
-    # otherwise fall back to the sequential round-robin and TSan would
-    # watch exactly one thread), then run the focused race surface: the
-    # golden-hash determinism suite (pins byte-identical output at
-    # shards 1/2/4, threaded and sequential), the cross-shard engine
-    # tests (mailboxes, lookahead windows, lane-order merges), and the
-    # telemetry registry merge paths.
-    IDSEVAL_SHARD_THREADS=1 ctest --preset "${preset}" \
-      --output-on-failure --no-tests=error \
-      -R 'DeterminismTest|ShardPlanTest|ShardedSimulatorTest|RegistryTest|ScopedRegistryTest'
+    # The thread-sanitizer leg targets the concurrency the tool actually
+    # uses: the thread pool behind campaign --jobs / rank --jobs / the
+    # load-probe ladder, the background trace writer, the campaign
+    # scheduler and its store, the telemetry registry merges, and the
+    # golden-hash determinism suite. --no-tests=error keeps a filter
+    # typo from passing as a silent no-op.
+    ctest --preset "${preset}" --output-on-failure --no-tests=error \
+      -R 'ThreadPoolTest|TraceSinkTest|SchedulerTest|StoreTest|RegistryTest|ScopedRegistryTest|DeterminismTest'
   else
     ctest --preset "${preset}" -j"${jobs}"
   fi
@@ -34,11 +31,9 @@ done
 
 # Event-core benchmark smoke under the Release preset: checks the
 # zero-heap-fallback invariant and archives the throughput report next to
-# the build tree. The smoke run includes the shard_scaling section at 1
-# and 2 shards (2-shard throughput floor warn-only: wall-clock speedup
-# needs >= N physical cores, which CI machines may not have) and the
-# scan_cache section (cached-vs-legacy detection identity hard-fails;
-# the >=1.5x speedup floor is warn-only — it is a wall-clock ratio).
+# the build tree. The smoke run includes the scan_cache section
+# (cached-vs-legacy detection identity hard-fails; the >=1.5x speedup
+# floor is warn-only — it is a wall-clock ratio).
 # Skipped when only specific presets were requested.
 if [ $# -eq 0 ]; then
   echo "==== bench smoke (release) ===="
@@ -117,15 +112,15 @@ for preset in "${presets[@]}"; do
     trap - EXIT
   fi
   if [ "${preset}" = "tsan" ]; then
-    # End-to-end race check: the example CI campaign on two shards with
-    # worker threads forced on, so every cross-shard mailbox hand-off,
-    # barrier, and telemetry merge runs under the race detector. One job
-    # keeps shard workers as the only concurrency TSan has to model.
-    echo "==== sharded traced campaign (${preset}) ===="
+    # End-to-end race check: the example CI campaign on two pool workers
+    # with tracing on, so cell scheduling, store appends, per-cell
+    # registry merges, and the background trace writer all run under the
+    # race detector.
+    echo "==== traced campaign, 2 jobs (${preset}) ===="
     out_dir=$(mktemp -d)
     trap 'rm -rf "${out_dir}"' EXIT
-    IDSEVAL_SHARD_THREADS=1 "build-${preset}/tools/idseval_cli" campaign \
-      --spec examples/campaign_ci.spec --jobs 1 --shards 2 \
+    "build-${preset}/tools/idseval_cli" campaign \
+      --spec examples/campaign_ci.spec --jobs 2 \
       --out "${out_dir}" --trace "${out_dir}/trace.jsonl"
     "build-${preset}/tools/idseval_cli" trace-check "${out_dir}/trace.jsonl"
     rm -rf "${out_dir}"

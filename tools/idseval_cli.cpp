@@ -28,10 +28,13 @@
 // event trace of the run's pipeline telemetry; --trace-sync forces the
 // synchronous (caller-thread) writer instead of the background thread.
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -65,9 +68,17 @@ using namespace idseval;
 
 namespace {
 
+/// Worker-pool ceiling for --jobs (0 = one worker per hardware thread).
+constexpr std::size_t kMaxJobs = 1024;
+
+/// A bad command line: main prints the message plus usage and exits 2.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 struct Args {
   std::string command;
-  std::string positional;
+  std::vector<std::string> positional;
   std::map<std::string, std::string> options;
   std::vector<std::string> flags;
 
@@ -80,6 +91,27 @@ struct Args {
   std::string opt(const std::string& name, std::string fallback) const {
     const auto it = options.find(name);
     return it == options.end() ? fallback : it->second;
+  }
+  /// The one numeric-option parser: a plain decimal number in [lo, hi].
+  /// Signs on integers, trailing junk, overflow and NaN are usage errors
+  /// (std::stoull would wrap "-1" and ignore the "x" in "3x").
+  template <class T>
+  T number_opt(const std::string& name, T fallback, T lo = 0,
+               T hi = std::numeric_limits<T>::max()) const {
+    const auto it = options.find(name);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (text.empty() || ec != std::errc{} || end != last ||
+        !(value >= lo && value <= hi)) {
+      std::ostringstream msg;
+      msg << "--" << name << " needs a number in [" << lo << ", " << hi
+          << "], got '" << text << "'";
+      throw UsageError(msg.str());
+    }
+    return value;
   }
 };
 
@@ -95,11 +127,46 @@ Args parse_args(int argc, char** argv) {
       } else {
         args.flags.push_back(name);
       }
-    } else if (args.positional.empty()) {
-      args.positional = token;
+    } else {
+      args.positional.push_back(token);
     }
   }
   return args;
+}
+
+/// What one subcommand accepts; anything else is a usage error.
+struct CommandSpec {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> options;  ///< --name VALUE
+  std::vector<std::string> flags;    ///< --name
+  std::size_t max_positional = 0;
+};
+
+void check_args(const CommandSpec& spec, const Args& args) {
+  const auto knows = [](const std::vector<std::string>& names,
+                        const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  for (const auto& [name, value] : args.options) {
+    if (knows(spec.options, name)) continue;
+    throw UsageError(knows(spec.flags, name)
+                         ? "--" + name + " takes no value (got '" + value +
+                               "')"
+                         : std::string(spec.name) + ": unknown option --" +
+                               name);
+  }
+  for (const std::string& name : args.flags) {
+    if (knows(spec.flags, name)) continue;
+    throw UsageError(knows(spec.options, name)
+                         ? "--" + name + " needs a value"
+                         : std::string(spec.name) + ": unknown option --" +
+                               name);
+  }
+  if (args.positional.size() > spec.max_positional) {
+    throw UsageError(std::string(spec.name) + ": unexpected argument '" +
+                     args.positional[spec.max_positional] + "'");
+  }
 }
 
 std::optional<products::ProductId> product_by_name(const std::string& name) {
@@ -131,13 +198,7 @@ void report_trace(const telemetry::TraceSink& trace) {
 harness::TestbedConfig make_env(const Args& args) {
   harness::TestbedConfig env;
   env.profile = traffic::profile_by_name(args.opt("profile", "rt_cluster"));
-  env.seed = static_cast<std::uint64_t>(
-      std::stoull(args.opt("seed", "42")));
-  // --shards N partitions each testbed over N event-queue shards
-  // (results are byte-identical at any shard count; 1 = the legacy
-  // single-queue engine).
-  env.shards = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::stoull(args.opt("shards", "1"))));
+  env.seed = args.number_opt<std::uint64_t>("seed", 42);
   // --no-scan-cache replays the exact legacy full-rescan detection path
   // (regression pinning for the interned-payload scan cache). Results
   // are byte-identical either way; only wall-clock changes.
@@ -158,7 +219,7 @@ std::string render_unified_score(const score::UnifiedScore& unified) {
   return results::render_table_text(table.build());
 }
 
-int cmd_products() {
+int cmd_products(const Args&) {
   results::TableBuilder table({"Product", "Class", "Description"},
                               {"left", "left", "left"});
   for (const auto& model : products::product_catalog()) {
@@ -173,7 +234,7 @@ int cmd_products() {
 int cmd_catalog(const Args& args) {
   for (const core::Metric& m : core::metric_catalog()) {
     if (!args.positional.empty() &&
-        m.name.find(args.positional) == std::string::npos) {
+        m.name.find(args.positional[0]) == std::string::npos) {
       continue;
     }
     std::printf("%s\n", core::render_metric_definition(m.id).c_str());
@@ -189,7 +250,7 @@ int cmd_evaluate(const Args& args) {
   }
   const harness::TestbedConfig env = make_env(args);
   harness::EvaluationOptions options;
-  options.sensitivity = std::stod(args.opt("sensitivity", "0.5"));
+  options.sensitivity = args.number_opt("sensitivity", 0.5, 0.0, 1.0);
   options.include_load_metrics = args.has_flag("load-metrics");
   options.kill_chain = args.opt("kill-chain", "");
 
@@ -285,17 +346,21 @@ int cmd_evaluate(const Args& args) {
 }
 
 int cmd_rank(const Args& args) {
+  const std::string profile = args.opt("weights", "realtime");
+  if (profile != "realtime" && profile != "ecommerce") {
+    throw UsageError("--weights must be realtime or ecommerce, got '" +
+                     profile + "'");
+  }
   const harness::TestbedConfig env = make_env(args);
   harness::EvaluationOptions options;
-  options.sensitivity = std::stod(args.opt("sensitivity", "0.5"));
+  options.sensitivity = args.number_opt("sensitivity", 0.5, 0.0, 1.0);
   options.include_load_metrics = args.has_flag("load-metrics");
   options.kill_chain = args.opt("kill-chain", "");
 
   // --jobs N spreads the per-product evaluations over the thread pool;
   // each evaluation is deterministic on its own, so the ranking is
   // identical at any job count.
-  const std::size_t jobs = static_cast<std::size_t>(
-      std::stoull(args.opt("jobs", "1")));
+  const auto jobs = args.number_opt<std::size_t>("jobs", 1, 0, kMaxJobs);
   const auto& catalog = products::product_catalog();
   auto trace = open_trace(args);
   // Full evaluations (not just cards) so the load-probe registries are
@@ -334,7 +399,6 @@ int cmd_rank(const Args& args) {
     cards.push_back(std::move(slots[i]->card));
   }
 
-  const std::string profile = args.opt("weights", "realtime");
   const core::WeightSet weights =
       profile == "ecommerce"
           ? core::ecommerce_requirements().derive_weights()
@@ -399,7 +463,7 @@ int cmd_sweep(const Args& args) {
     return 2;
   }
   const harness::TestbedConfig env = make_env(args);
-  const int steps = std::stoi(args.opt("steps", "11"));
+  const int steps = args.number_opt("steps", 11, 1, 1001);
   std::vector<double> sensitivities;
   for (int i = 0; i < steps; ++i) {
     sensitivities.push_back(static_cast<double>(i) /
@@ -463,13 +527,8 @@ int cmd_campaign(const Args& args) {
   }
   std::ostringstream text;
   text << in.rdbuf();
-  campaign::CampaignSpec spec = campaign::CampaignSpec::parse(text.str());
-  // --shards overrides the spec before the store opens, so the engine
-  // choice lands in the fingerprint and a mismatched --resume is refused.
-  if (const std::string shards = args.opt("shards", ""); !shards.empty()) {
-    spec.shards = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::stoull(shards)));
-  }
+  const campaign::CampaignSpec spec =
+      campaign::CampaignSpec::parse(text.str());
 
   const std::filesystem::path out_dir = args.opt("out", "campaign-out");
   std::filesystem::create_directories(out_dir);
@@ -491,8 +550,7 @@ int cmd_campaign(const Args& args) {
   telemetry::Registry aggregate_telemetry;
 
   campaign::RunOptions run_options;
-  run_options.jobs = static_cast<std::size_t>(
-      std::stoull(args.opt("jobs", "1")));
+  run_options.jobs = args.number_opt<std::size_t>("jobs", 1, 0, kMaxJobs);
   run_options.telemetry = &aggregate_telemetry;
   run_options.trace = trace.get();
   if (trace) {
@@ -657,10 +715,8 @@ int check_csv_file(const Args& args) {
     std::fprintf(stderr, "trace-check: %s: %s\n", path.c_str(), e.what());
     return 1;
   }
-  const std::string expect = args.opt("expect-rows", "");
-  if (!expect.empty()) {
-    const std::size_t want =
-        static_cast<std::size_t>(std::stoull(expect));
+  if (args.options.contains("expect-rows")) {
+    const auto want = args.number_opt<std::size_t>("expect-rows", 0);
     if (shape.data_rows != want) {
       std::fprintf(stderr,
                    "trace-check: %s has %zu data rows, expected %zu\n",
@@ -676,7 +732,7 @@ int check_csv_file(const Args& args) {
 int cmd_trace_check(const Args& args) {
   if (!args.opt("csv", "").empty()) return check_csv_file(args);
   const std::string path =
-      args.positional.empty() ? args.opt("file", "") : args.positional;
+      args.positional.empty() ? args.opt("file", "") : args.positional[0];
   if (path.empty()) {
     std::fprintf(stderr, "trace-check: FILE is required\n");
     return 2;
@@ -769,15 +825,15 @@ int usage() {
       "  products                                list evaluated products\n"
       "  catalog [substring]                     metric definitions\n"
       "  evaluate --product NAME [--profile P] [--sensitivity S]\n"
-      "           [--seed N] [--shards N] [--load-metrics] [--notes]\n"
+      "           [--seed N] [--load-metrics] [--notes]\n"
       "           [--no-scan-cache] [--kill-chain NAME] [--out DIR]\n"
       "           [--trace FILE]\n"
       "  rank [--profile P] [--weights realtime|ecommerce] [--seed N]\n"
-      "       [--jobs N] [--shards N] [--load-metrics] [--robustness]\n"
+      "       [--sensitivity S] [--jobs N] [--load-metrics] [--robustness]\n"
       "       [--no-scan-cache] [--kill-chain NAME] [--trace FILE]\n"
       "  sweep --product NAME [--profile P] [--steps N] [--seed N]\n"
-      "        [--shards N] [--single-pass] [--no-scan-cache]\n"
-      "  campaign --spec FILE [--jobs N] [--shards N] [--resume]\n"
+      "        [--single-pass] [--no-scan-cache]\n"
+      "  campaign --spec FILE [--jobs N] [--resume]\n"
       "           [--out DIR] [--out-html] [--trace FILE]\n"
       "  trace-check FILE                        validate a trace file\n"
       "  trace-check --csv FILE [--expect-rows N] validate a CSV export\n"
@@ -797,18 +853,37 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::vector<CommandSpec> commands = {
+      {"products", cmd_products, {}, {}},
+      {"catalog", cmd_catalog, {}, {}, 1},
+      {"evaluate", cmd_evaluate,
+       {"product", "profile", "sensitivity", "seed", "kill-chain", "out",
+        "trace"},
+       {"load-metrics", "notes", "no-scan-cache", "trace-sync"}},
+      {"rank", cmd_rank,
+       {"profile", "weights", "sensitivity", "seed", "jobs", "kill-chain",
+        "trace"},
+       {"load-metrics", "robustness", "no-scan-cache", "trace-sync"}},
+      {"sweep", cmd_sweep, {"product", "profile", "steps", "seed"},
+       {"single-pass", "no-scan-cache"}},
+      {"campaign", cmd_campaign, {"spec", "jobs", "out", "trace"},
+       {"resume", "out-html", "trace-sync"}},
+      {"trace-check", cmd_trace_check, {"csv", "expect-rows", "file"}, {},
+       1},
+  };
   const Args args = parse_args(argc, argv);
-  try {
-    if (args.command == "products") return cmd_products();
-    if (args.command == "catalog") return cmd_catalog(args);
-    if (args.command == "evaluate") return cmd_evaluate(args);
-    if (args.command == "rank") return cmd_rank(args);
-    if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "campaign") return cmd_campaign(args);
-    if (args.command == "trace-check") return cmd_trace_check(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  for (const CommandSpec& command : commands) {
+    if (args.command != command.name) continue;
+    try {
+      check_args(command, args);
+      return command.run(args);
+    } catch (const UsageError& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return usage();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
   return usage();
 }

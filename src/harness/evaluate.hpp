@@ -42,10 +42,11 @@ struct Measurements {
   /// before the load probes disturb the stage stats. All zeros when no
   /// telemetry::Registry was installed on the evaluating thread.
   telemetry::PipelineSnapshot detection_telemetry;
-  /// Accumulated telemetry from every load-probe simulation (zero loss,
-  /// system throughput, lethal dose, induced latency) — kept separate
-  /// from the detection window's registry; includes `harness.probes`.
-  /// Empty when load metrics were skipped.
+  /// Accumulated telemetry of the load-probe simulations on the search
+  /// paths (zero loss, system throughput, lethal dose, induced latency),
+  /// merged in path order and kept separate from the detection window's
+  /// registry; includes `harness.probes`. Empty when load metrics were
+  /// skipped.
   telemetry::Registry load_probe_telemetry;
 };
 

@@ -22,11 +22,6 @@ TestbedConfig probe_config(const TestbedConfig& base, double rate_scale) {
   return cfg;
 }
 
-/// `reg` is the registry this probe's telemetry lands in. Non-null:
-/// installed for the probe's simulation (kept isolated from the ambient
-/// thread registry). Null: the ambient registry is left in place —
-/// legacy behaviour, and a no-op on pool workers, which never inherit
-/// one.
 LoadPoint point_from(const RunResult& r, double rate_scale) {
   LoadPoint p;
   p.rate_scale = rate_scale;
@@ -35,62 +30,78 @@ LoadPoint point_from(const RunResult& r, double rate_scale) {
   p.processed_pps = r.processed_pps;
   p.loss_ratio = r.ids_loss_ratio;
   p.failures = r.sensor_failures;
+  p.mean_delivery_latency_sec = r.mean_delivery_latency_sec;
   return p;
 }
 
-LoadPoint probe(const TestbedConfig& base,
-                const products::ProductModel& model, double sensitivity,
-                double rate_scale, telemetry::Registry* reg = nullptr) {
-  telemetry::ScopedRegistry scope(reg != nullptr ? reg
-                                                 : telemetry::current());
-  telemetry::count(telemetry::names::kHarnessProbes);
-  Testbed bed(probe_config(base, rate_scale), &model, sensitivity);
-  return point_from(bed.run_clean(), rate_scale);
-}
-
-/// Lethal-dose probe: scaled background load plus a SYN-flood scenario
-/// whose packets arrive in same-tick trains (kLethalDoseFloodTrain), so
-/// the dose search drives the coalesced fan-out path deliberately rather
-/// than relying on background traffic alone to overwhelm sensors.
-LoadPoint probe_flood(const TestbedConfig& base,
-                      const products::ProductModel& model,
-                      double sensitivity, double rate_scale,
-                      telemetry::Registry* reg = nullptr) {
-  telemetry::ScopedRegistry scope(reg != nullptr ? reg
-                                                 : telemetry::current());
-  telemetry::count(telemetry::names::kHarnessProbes);
-  TestbedConfig cfg = probe_config(base, rate_scale);
-  cfg.flood_train = kLethalDoseFloodTrain;
-  Testbed bed(cfg, &model, sensitivity);
-  const auto scenario = attack::Scenario::of_kinds(
-      {attack::AttackKind::kSynFlood}, /*per_kind=*/2,
-      netsim::SimTime::zero(), cfg.measure * 0.9,
-      util::hash64("lethal-dose") ^ base.seed, base.external_hosts,
-      base.internal_hosts);
-  return point_from(bed.run(scenario), rate_scale);
+/// A scheduler running `base`'s probes. Path probes merge into the
+/// accumulator, or into the caller's ambient registry without one.
+ProbeScheduler scheduler(const TestbedConfig& base,
+                         const products::ProductModel& model,
+                         double sensitivity, RunContext* probes) {
+  return ProbeScheduler(
+      [&base, &model, sensitivity](ProbeKind kind, double rate_scale) {
+        return run_load_probe(base, model, sensitivity, kind, rate_scale);
+      },
+      probes != nullptr ? &probes->registry() : telemetry::current());
 }
 
 }  // namespace
+
+LoadPoint run_load_probe(const TestbedConfig& base,
+                         const products::ProductModel& model,
+                         double sensitivity, ProbeKind kind,
+                         double rate_scale) {
+  telemetry::count(telemetry::names::kHarnessProbes);
+  switch (kind) {
+    case ProbeKind::kClean: {
+      Testbed bed(probe_config(base, rate_scale), &model, sensitivity);
+      return point_from(bed.run_clean(), rate_scale);
+    }
+    case ProbeKind::kFlood: {
+      // Scaled background load plus a SYN-flood scenario whose packets
+      // arrive in same-tick trains (kLethalDoseFloodTrain), so the dose
+      // search drives the coalesced fan-out path deliberately rather
+      // than relying on background traffic alone to overwhelm sensors.
+      TestbedConfig cfg = probe_config(base, rate_scale);
+      cfg.flood_train = kLethalDoseFloodTrain;
+      Testbed bed(cfg, &model, sensitivity);
+      const auto scenario = attack::Scenario::of_kinds(
+          {attack::AttackKind::kSynFlood}, /*per_kind=*/2,
+          netsim::SimTime::zero(), cfg.measure * 0.9,
+          util::hash64("lethal-dose") ^ base.seed, base.external_hosts,
+          base.internal_hosts);
+      return point_from(bed.run(scenario), rate_scale);
+    }
+    case ProbeKind::kLatencyIds:
+    case ProbeKind::kLatencyBaseline: {
+      TestbedConfig cfg = base;
+      cfg.rate_scale = rate_scale;
+      cfg.warmup = SimTime::from_sec(5);
+      cfg.measure = SimTime::from_sec(20);
+      cfg.drain = SimTime::from_sec(2);
+      Testbed bed(cfg, kind == ProbeKind::kLatencyIds ? &model : nullptr,
+                  sensitivity);
+      return point_from(bed.run_clean(), rate_scale);
+    }
+  }
+  return {};
+}
 
 std::vector<LoadPoint> load_sweep(const TestbedConfig& base,
                                   const products::ProductModel& model,
                                   double sensitivity,
                                   const std::vector<double>& rate_scales,
                                   RunContext* probes) {
-  telemetry::Registry* probe_telemetry =
-      probes != nullptr ? &probes->registry() : nullptr;
-  std::vector<LoadPoint> points(rate_scales.size());
-  // Pool workers have no thread-local registry, so each probe records
-  // into its own slot; merging in index order keeps the accumulated
-  // result independent of worker count and completion order.
-  std::vector<telemetry::Registry> regs(
-      probe_telemetry != nullptr ? rate_scales.size() : 0);
-  util::ThreadPool pool;
-  pool.parallel_for(rate_scales.size(), [&](std::size_t i) {
-    points[i] = probe(base, model, sensitivity, rate_scales[i],
-                      regs.empty() ? nullptr : &regs[i]);
-  });
-  for (const telemetry::Registry& r : regs) probe_telemetry->merge_from(r);
+  ProbeScheduler s = scheduler(base, model, sensitivity, probes);
+  for (const double scale : rate_scales) {
+    s.launch(ProbeKind::kClean, scale, ProbeLane::kLadder);
+  }
+  std::vector<LoadPoint> points;
+  points.reserve(rate_scales.size());
+  for (const double scale : rate_scales) {
+    points.push_back(s.take(ProbeKind::kClean, scale));
+  }
   return points;
 }
 
@@ -99,51 +110,8 @@ double measure_zero_loss_pps(const TestbedConfig& base,
                              double sensitivity, double max_scale,
                              double loss_epsilon, int iterations,
                              RunContext* probes) {
-  telemetry::Registry* probe_telemetry =
-      probes != nullptr ? &probes->registry() : nullptr;
-  // Establish a bracket: grow until loss appears (or max_scale reached).
-  double lo = 0.0;        // highest scale with zero loss
-  double lo_pps = 0.0;
-  double hi = 0.0;        // lowest scale with loss (0 = none found)
-  double scale = 1.0;
-  while (scale <= max_scale) {
-    const LoadPoint p =
-        probe(base, model, sensitivity, scale, probe_telemetry);
-    if (p.loss_ratio <= loss_epsilon && p.failures == 0) {
-      lo = scale;
-      lo_pps = p.offered_pps;
-      scale *= 2.0;
-    } else {
-      hi = scale;
-      break;
-    }
-  }
-  if (hi == 0.0 && lo < max_scale) {
-    // The doubling bracket stopped short of max_scale; probe it directly
-    // so fast products are measured at the full range, not at the last
-    // power of two.
-    const LoadPoint p =
-        probe(base, model, sensitivity, max_scale, probe_telemetry);
-    if (p.loss_ratio <= loss_epsilon && p.failures == 0) {
-      return p.offered_pps;
-    }
-    hi = max_scale;
-  }
-  if (hi == 0.0) return lo_pps;  // never lost anything up to max_scale
-
-  // Bisection refines the knee.
-  for (int i = 0; i < iterations; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const LoadPoint p =
-        probe(base, model, sensitivity, mid, probe_telemetry);
-    if (p.loss_ratio <= loss_epsilon && p.failures == 0) {
-      lo = mid;
-      lo_pps = p.offered_pps;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo_pps;
+  ProbeScheduler s = scheduler(base, model, sensitivity, probes);
+  return run(s, ZeroLossSearch{max_scale, loss_epsilon, iterations});
 }
 
 double measure_system_throughput_pps(const TestbedConfig& base,
@@ -151,64 +119,29 @@ double measure_system_throughput_pps(const TestbedConfig& base,
                                      double sensitivity,
                                      double overload_scale,
                                      RunContext* probes) {
-  telemetry::Registry* probe_telemetry =
-      probes != nullptr ? &probes->registry() : nullptr;
-  // "Maximal data input rate that can be processed successfully": probe a
-  // ladder of loads up to the overload scale and keep the best sustained
-  // processing rate — a single overload probe would report the *post-
-  // collapse* rate for products whose sensors die past their lethal dose.
-  // Each rung is an independent simulation, so the ladder fans out across
-  // the thread pool like load_sweep does.
-  const std::vector<double> ladder = {
-      overload_scale / 8.0, overload_scale / 4.0, overload_scale / 3.0,
-      overload_scale * 0.4, overload_scale / 2.0, overload_scale * 0.75,
-      overload_scale};
-  std::vector<double> processed(ladder.size(), 0.0);
-  std::vector<telemetry::Registry> regs(
-      probe_telemetry != nullptr ? ladder.size() : 0);
-  util::ThreadPool pool;
-  pool.parallel_for(ladder.size(), [&](std::size_t i) {
-    processed[i] = probe(base, model, sensitivity, ladder[i],
-                         regs.empty() ? nullptr : &regs[i])
-                       .processed_pps;
-  });
-  for (const telemetry::Registry& r : regs) probe_telemetry->merge_from(r);
-  return *std::max_element(processed.begin(), processed.end());
+  ProbeScheduler s = scheduler(base, model, sensitivity, probes);
+  return run(s, ThroughputLadder{overload_scale});
 }
 
 std::optional<double> measure_lethal_dose_pps(
     const TestbedConfig& base, const products::ProductModel& model,
     double sensitivity, double max_scale, RunContext* probes) {
-  telemetry::Registry* probe_telemetry =
-      probes != nullptr ? &probes->registry() : nullptr;
-  for (double scale = 2.0; scale <= max_scale; scale *= 1.6) {
-    const LoadPoint p =
-        probe_flood(base, model, sensitivity, scale, probe_telemetry);
-    if (p.failures > 0) return p.offered_pps;
-  }
-  return std::nullopt;
+  ProbeScheduler s = scheduler(base, model, sensitivity, probes);
+  return run(s, LethalDoseSearch{max_scale});
 }
 
 double measure_induced_latency_sec(const TestbedConfig& base,
                                    const products::ProductModel& model,
                                    double sensitivity, RunContext* probes) {
-  telemetry::Registry* probe_telemetry =
-      probes != nullptr ? &probes->registry() : nullptr;
-  TestbedConfig cfg = base;
-  cfg.warmup = SimTime::from_sec(5);
-  cfg.measure = SimTime::from_sec(20);
-  cfg.drain = SimTime::from_sec(2);
+  ProbeScheduler s = scheduler(base, model, sensitivity, probes);
+  return run(s, InducedLatency{base.rate_scale});
+}
 
-  telemetry::ScopedRegistry scope(
-      probe_telemetry != nullptr ? probe_telemetry : telemetry::current());
-  // Two probe simulations: the product run and the no-IDS baseline.
-  telemetry::count(telemetry::names::kHarnessProbes, 2);
-  Testbed with_ids(cfg, &model, sensitivity);
-  const RunResult a = with_ids.run_clean();
-  Testbed baseline(cfg, nullptr, sensitivity);
-  const RunResult b = baseline.run_clean();
-  return std::max(0.0, a.mean_delivery_latency_sec -
-                           b.mean_delivery_latency_sec);
+LoadMetrics measure_load_metrics(const TestbedConfig& base,
+                                 const products::ProductModel& model,
+                                 double sensitivity, RunContext* probes) {
+  ProbeScheduler s = scheduler(base, model, sensitivity, probes);
+  return run(s, LoadMetricsSearch{base.rate_scale});
 }
 
 std::vector<ErrorRatePoint> sensitivity_sweep(

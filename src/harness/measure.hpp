@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "harness/probe_search.hpp"
 #include "harness/run_context.hpp"
 #include "harness/testbed.hpp"
 #include "products/catalog.hpp"
@@ -14,23 +15,27 @@
 
 namespace idseval::harness {
 
-/// One point of a load sweep.
-struct LoadPoint {
-  double rate_scale = 1.0;
-  double offered_pps = 0.0;
-  double tapped_pps = 0.0;
-  double processed_pps = 0.0;
-  double loss_ratio = 0.0;
-  std::uint64_t failures = 0;
-};
+/// Load measurements run their probe simulations on a ProbeScheduler
+/// (probe_search.hpp): probes run in parallel and ahead of need, and the
+/// searches walk them in sequential order, so every value equals the one
+/// a one-probe-at-a-time search finds. Each function optionally
+/// accumulates the telemetry of the probes on its search path into
+/// `probes->registry()`: one registry per probe, merged in path order
+/// (counters summed, latency stats pooled), so the accumulated registry
+/// is the same at any pool size. A probe a search reuses from the memo,
+/// and a speculative probe the path never needed, merge nothing. With
+/// nullptr the path probes merge into the calling thread's ambient
+/// registry, if one is installed.
 
-/// Each load measurement optionally accumulates the telemetry its probe
-/// simulations generate into `probes->registry()` (counters merged,
-/// latency stats pooled; merge order is deterministic — probe order for
-/// sequential searches, index order for parallel ladders). Probe-run
-/// stage telemetry no longer leaks into the ambient thread registry when
-/// a context is supplied; with nullptr the legacy ambient behaviour is
-/// kept.
+/// One probe simulation, what the measurements below schedule: short
+/// windows at `rate_scale` for kClean and kFlood, the long
+/// induced-latency window for the two latency kinds. Records
+/// `harness.probes` and the run's stage telemetry into the calling
+/// thread's ambient registry.
+LoadPoint run_load_probe(const TestbedConfig& base,
+                         const products::ProductModel& model,
+                         double sensitivity, ProbeKind kind,
+                         double rate_scale);
 
 /// Runs the profile at each rate scale (attack-free), short windows.
 std::vector<LoadPoint> load_sweep(
@@ -77,6 +82,14 @@ std::optional<double> measure_lethal_dose_pps(
 double measure_induced_latency_sec(
     const TestbedConfig& base, const products::ProductModel& model,
     double sensitivity, RunContext* probes = nullptr);
+
+/// The four load measurements the scorecard scores, on one scheduler
+/// (LoadMetricsSearch): the searches share one memo and one thread per
+/// core, and the zero-loss walk runs ahead of the ladders.
+LoadMetrics measure_load_metrics(const TestbedConfig& base,
+                                 const products::ProductModel& model,
+                                 double sensitivity,
+                                 RunContext* probes = nullptr);
 
 /// One sensitivity point of the Figure 4 error-rate sweep.
 struct ErrorRatePoint {

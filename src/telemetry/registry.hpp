@@ -95,7 +95,7 @@ class Registry {
   /// merges of the same registries in the same call order produce
   /// bit-identical aggregates regardless of insertion history. Callers
   /// own the call order: campaign aggregation merges per-cell registries
-  /// in cell-index order, load probes in probe order.
+  /// in cell-index order, load probes in search-path order.
   void merge_from(const Registry& other);
   void reset() noexcept;
   bool empty() const noexcept {

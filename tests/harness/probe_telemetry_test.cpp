@@ -1,14 +1,16 @@
 // Probe-telemetry accumulation (harness.probes and load-probe stage
 // counters): every load measurement that is handed a Registry must
-// record one harness.probes bump per probe simulation and fold the
-// probes' stage telemetry into the accumulator — including probes that
-// ran on thread-pool workers, which never inherit an ambient registry.
+// record one harness.probes bump per probe simulation on its search
+// path and fold those probes' stage telemetry into the accumulator, in
+// path order — although the probes ran on thread-pool workers, which
+// never inherit an ambient registry.
 #include "harness/measure.hpp"
 
 #include <gtest/gtest.h>
 
 #include "harness/evaluate.hpp"
 #include "telemetry/registry.hpp"
+#include "telemetry/trace.hpp"
 
 namespace idseval::harness {
 namespace {
@@ -75,11 +77,79 @@ TEST(ProbeTelemetryTest, NullAccumulatorKeepsAmbientBehaviour) {
   const auto& model = products::product(products::ProductId::kSentryNid);
   telemetry::Registry ambient;
   telemetry::ScopedRegistry scope(&ambient);
-  // Sequential search with no accumulator records into the ambient
+  // With no accumulator the path probes merge into the ambient
   // registry, exactly as before the accumulator existed.
   (void)measure_lethal_dose_pps(tiny_env(), model, 0.5, /*max_scale=*/4.0,
                                 nullptr);
   EXPECT_EQ(probes(ambient), 2u);
+}
+
+TEST(ProbeTelemetryTest, LoadMetricsTelemetryIsIdenticalAtAnyPoolSize) {
+  // Speculative probes run or are skipped depending on timing; only the
+  // probes on the search paths merge, in path order, so the serialized
+  // accumulator is the same on every run and at every pool size.
+  // A thin profile and a slow sensor keep the 96x-128x ladders cheap
+  // and put the zero-loss knee and the lethal dose low on their ranges.
+  TestbedConfig env = tiny_env();
+  env.profile.flows_per_sec *= 0.1;
+  products::ProductModel model =
+      products::product(products::ProductId::kSentryNid);
+  model.make_config = [](double s) {
+    auto c = products::product(products::ProductId::kSentryNid)
+                 .make_config(s);
+    c.sensor.ops_per_sec = 2e7;
+    return c;
+  };
+  std::string first;
+  LoadMetrics first_metrics;
+  for (const std::size_t threads : {1u, 4u}) {
+    // measure_load_metrics on a pool of `threads`.
+    telemetry::Registry reg;
+    ProbeScheduler s(
+        [&](ProbeKind kind, double scale) {
+          return run_load_probe(env, model, 0.5, kind, scale);
+        },
+        &reg, threads);
+    const LoadMetrics m = run(s, LoadMetricsSearch{env.rate_scale});
+    const std::string json = telemetry::to_json(reg);
+    if (first.empty()) {
+      first = json;
+      first_metrics = m;
+      EXPECT_GT(probes(reg), 0u);
+      continue;
+    }
+    EXPECT_EQ(json, first) << "threads " << threads;
+    EXPECT_EQ(m.zero_loss_pps, first_metrics.zero_loss_pps);
+    EXPECT_EQ(m.system_throughput_pps, first_metrics.system_throughput_pps);
+    EXPECT_EQ(m.lethal_dose_pps, first_metrics.lethal_dose_pps);
+    EXPECT_EQ(m.induced_latency_sec, first_metrics.induced_latency_sec);
+  }
+  // And once more through the public entry point, on one thread per
+  // core.
+  telemetry::Registry reg;
+  RunContext ctx(&reg);
+  const LoadMetrics m = measure_load_metrics(env, model, 0.5, &ctx);
+  EXPECT_EQ(telemetry::to_json(reg), first);
+  EXPECT_EQ(m.zero_loss_pps, first_metrics.zero_loss_pps);
+}
+
+TEST(ProbeTelemetryTest, WindowCountersSumOverPathProbes) {
+  // Each probe records into its own registry, so a window-scoped counter
+  // is the sum over the path's probes, not the last probe's window.
+  const auto& model = products::product(products::ProductId::kSentryNid);
+  const std::vector<double> scales = {1.0, 2.0};
+  std::uint64_t summed = 0;
+  for (const double scale : scales) {
+    telemetry::Registry one;
+    RunContext ctx(&one);
+    (void)load_sweep(tiny_env(), model, 0.5, {scale}, &ctx);
+    summed += one.find_counter(telemetry::names::kSensorOffered)->value();
+  }
+  telemetry::Registry both;
+  RunContext ctx(&both);
+  (void)load_sweep(tiny_env(), model, 0.5, scales, &ctx);
+  EXPECT_EQ(both.find_counter(telemetry::names::kSensorOffered)->value(),
+            summed);
 }
 
 TEST(ProbeTelemetryTest, SkippedLoadMetricsLeaveRegistryEmpty) {

@@ -1,29 +1,58 @@
 #!/usr/bin/env bash
 # One-command CI: build the plain and sanitizer presets, run ctest under
-# both. A sanitizer run is exactly:  tools/ci.sh asan-ubsan
+# both, and check the committed bench outputs. A sanitizer run is
+# exactly:  tools/ci.sh asan-ubsan   (and the outputs check:
+# tools/ci.sh results)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
-  presets=(default asan-ubsan tsan)
+  presets=(default asan-ubsan tsan results)
 fi
 
 jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)
 
+# The seeded bench binaries whose output holds no wall-clock figure:
+# each must print exactly its committed results/<name>.txt.
+# (bench_fig4_eer, bench_micro, bench_campaign and bench_netsim print
+# timings.)
+results_benches=(bench_table1_logistical bench_table2_architectural
+  bench_table3_performance bench_fig3_confusion bench_fig5_weighted_scores
+  bench_fig6_requirement_mapping bench_x1_host_overhead
+  bench_x2_profile_crossover bench_x3_payload_realism
+  bench_x4_load_balancing bench_x5_weight_robustness bench_x6_data_pool)
+
 for preset in "${presets[@]}"; do
+  if [ "${preset}" = "results" ]; then
+    echo "==== results: timing-free bench outputs vs results/ ===="
+    cmake --preset default
+    cmake --build --preset default -j"${jobs}" \
+      --target "${results_benches[@]}"
+    stale=0
+    for bench in "${results_benches[@]}"; do
+      if ! "build-default/bench/${bench}" | diff -u "results/${bench}.txt" -
+      then
+        echo "results/${bench}.txt differs from the binary's output"
+        stale=1
+      fi
+    done
+    [ "${stale}" -eq 0 ] || exit 1
+    continue
+  fi
   echo "==== preset: ${preset} ===="
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j"${jobs}"
   if [ "${preset}" = "tsan" ]; then
     # The thread-sanitizer leg targets the concurrency the tool actually
-    # uses: the thread pool behind campaign --jobs / rank --jobs / the
-    # load-probe ladder, the background trace writer, the campaign
-    # scheduler and its store, the telemetry registry merges, and the
-    # golden-hash determinism suite. --no-tests=error keeps a filter
-    # typo from passing as a silent no-op.
+    # uses: the thread pool behind campaign --jobs / rank --jobs, the
+    # load-probe scheduler and its speculative searches, the background
+    # trace writer, the campaign scheduler and its store, the telemetry
+    # registry merges, and the golden-hash determinism suite.
+    # --no-tests=error keeps a filter typo from passing as a silent
+    # no-op.
     ctest --preset "${preset}" --output-on-failure --no-tests=error \
-      -R 'ThreadPoolTest|TraceSinkTest|SchedulerTest|StoreTest|RegistryTest|ScopedRegistryTest|DeterminismTest'
+      -R 'ThreadPoolTest|TraceSinkTest|SchedulerTest|StoreTest|RegistryTest|ScopedRegistryTest|DeterminismTest|ProbeSearchTest|ProbeTelemetryTest|MeasureTest'
   else
     ctest --preset "${preset}" -j"${jobs}"
   fi

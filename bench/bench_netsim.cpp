@@ -7,11 +7,13 @@
 //              whole emission/delivery/analysis path including pooled
 //              payloads.
 //   scan_cache — detection-engine hot loop over interned payloads (deep
-//              inspection + stream reassembly + entropy), run once with
-//              the interned-payload scan cache and once replaying the
-//              legacy full-rescan path: isolates the memo +
-//              boundary-limited-reassembly win. Reports cached vs
-//              legacy packets/sec, hit ratio, and bytes saved; the
+//              inspection + streaming reassembly + entropy), run once
+//              with the interned-payload scan cache and once with the
+//              memo off (the same algorithm re-walking every payload;
+//              reported under the "legacy" keys): isolates the memo
+//              win. Reports memo-on vs memo-off packets/sec, hit ratio,
+//              bytes saved and boundary steps (packets whose carried
+//              automaton state reached back into the flow's tail); the
 //              detection counts must match exactly (hard check).
 //   fanout   — same-tick burst trains over zero-bandwidth links, run once
 //              with delivery coalescing on and once forced off: isolates
@@ -95,10 +97,10 @@ constexpr double kPriorTestbedPacketsPerSec = 459652.0;
 constexpr double kSmokeTestbedEventsPerSecFloor =
     1.3 * kBaselineTestbedEventsPerSec;
 
-// Scan-cache smoke floor: cached vs legacy packets/sec through the
+// Scan-cache smoke floor: memo-on vs memo-off packets/sec through the
 // detection engines. Warn-only by design — it is a wall-clock *ratio*
 // and compresses under sanitizers, -O0, or a noisy CI neighbour — but a
-// memoized path slower than the full rescan is worth a log line
+// memoized path slower than re-walking every payload is worth a log line
 // anywhere. The byte-identity of detections is checked separately and
 // hard-fails everywhere.
 constexpr double kSmokeScanCacheSpeedupFloor = 1.5;
@@ -243,10 +245,9 @@ struct ScanCacheResult {
 // (deep inspection + stream reassembly) and the anomaly engine (Shannon
 // entropy) fed the few-variant pooled payload mix the repetitive
 // RT-cluster/ICS profiles produce. The packet ring is pre-built so the
-// wall clock measures the engines, not make_packet; the cached and
-// legacy runs see the identical sequence, so the throughput delta is the
-// memo + boundary-limited reassembly and the detection counts must be
-// exactly equal.
+// wall clock measures the engines, not make_packet; the memo-on and
+// memo-off runs see the identical sequence, so the throughput delta is
+// the memo and the detection counts must be exactly equal.
 ScanCacheSide scan_cache_run(bool cache_on, std::uint64_t packets) {
   idseval::telemetry::Registry registry;
   idseval::telemetry::ScopedRegistry scope(&registry);
@@ -924,7 +925,7 @@ int main(int argc, char** argv) {
   }
 
   // The scan cache must be a pure optimization: identical packet
-  // sequences through cached and legacy engines produce identical
+  // sequences through memo-on and memo-off engines produce identical
   // detection counts deterministically, so a mismatch hard-fails on any
   // build. The speedup floor below is a wall-clock ratio and stays
   // warn-only (see kSmokeScanCacheSpeedupFloor).

@@ -108,7 +108,7 @@ void Testbed::build() {
     pipeline_config.agent_sensor.scan_cache = config_.scan_cache;
     // Payload growth mints extra variants; raise the engines' scan-memo
     // capacity by the growth bound so grown variants stay cached instead
-    // of falling back to full rescans. Zero headroom (every existing
+    // of being re-walked on every packet. Zero headroom (every existing
     // profile) leaves the memos at their default capacity.
     if (const std::size_t headroom = payload_pool_->growth_headroom();
         headroom > 0) {

@@ -47,9 +47,10 @@ struct TestbedConfig {
   /// throws std::invalid_argument from the Testbed constructor, so a
   /// caller still asking for shards fails loudly, not silently.
   std::size_t shards = 1;
-  /// Interned-payload scan cache in the detection engines (ISSUE 9):
-  /// false (--no-scan-cache) replays the exact legacy full-rescan path.
-  /// Results are byte-identical either way; only wall-clock changes.
+  /// Interned-payload scan cache in the detection engines: false
+  /// (--no-scan-cache) turns the payload memo off for the same
+  /// algorithm. Results are byte-identical either way; only wall-clock
+  /// changes.
   bool scan_cache = true;
   std::uint64_t seed = 42;
   netsim::SimTime warmup = netsim::SimTime::from_sec(20);   ///< Learning.

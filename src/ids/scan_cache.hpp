@@ -1,5 +1,5 @@
 // Interned-payload scan cache: memoizes per-payload detection work
-// (Shannon entropy, raw Aho-Corasick hit lists) keyed on the *pointer
+// (Shannon entropy, Aho-Corasick payload walks) keyed on the *pointer
 // identity* of pooled payloads. traffic::PayloadPool interns payload
 // content and hands out stable shared_ptr<const std::string> refs, so
 // the same ≤32 variants per family flow past the sensors millions of

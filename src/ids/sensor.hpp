@@ -51,9 +51,10 @@ struct SensorConfig {
   netsim::SimTime reboot_delay = netsim::SimTime::from_sec(45);
   netsim::SimTime restart_delay = netsim::SimTime::from_sec(2);
   /// Interned-payload scan cache (ids/scan_cache.hpp) force-off switch:
-  /// applied to every engine attached to this sensor. Detection output
-  /// and the golden determinism hash are byte-identical either way —
-  /// false replays the exact legacy full-rescan path (--no-scan-cache).
+  /// applied to every engine attached to this sensor. False
+  /// (--no-scan-cache) turns the payload memo off for the same
+  /// algorithm, so detection output and the golden determinism hash are
+  /// byte-identical either way.
   bool scan_cache = true;
   /// Raises each attached engine's scan-memo capacity ceiling above the
   /// PayloadMemo default (0 = leave the default). The harness sets it to

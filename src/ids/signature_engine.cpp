@@ -26,7 +26,7 @@ SignatureEngine::SignatureEngine(RuleSet rules,
       boundary_rescans_(telemetry::counter_handle(
           telemetry::names::kScanCacheBoundaryRescans)) {
   options_.reassembly_tail_bytes =
-      std::min(options_.reassembly_tail_bytes, TailBuffer::kCapacity);
+      std::min(options_.reassembly_tail_bytes, kMaxTailBytes);
   std::vector<std::string> patterns;
   patterns.reserve(rules_.patterns.size());
   for (std::size_t i = 0; i < rules_.patterns.size(); ++i) {
@@ -35,15 +35,21 @@ SignatureEngine::SignatureEngine(RuleSet rules,
   }
   if (!patterns.empty()) {
     matcher_ = std::make_unique<AhoCorasick>(patterns);
+    seen_.assign(patterns.size(), 0);
   }
 }
 
 double SignatureEngine::scan_cost_ops(const Packet& packet) const noexcept {
+  // The service model of a 2002-era reassembling engine, which rescans
+  // the retained tail with every payload and pays its copy costs. It is
+  // deliberately left unchanged although this engine carries automaton
+  // state instead: simulated time, and with it every measured figure and
+  // the golden determinism hash, must not move with host-side speedups.
+  //
   // Header rule evaluation + window bookkeeping.
   double ops = 600.0;
   if (options_.deep_inspection && packet.payload_bytes() > 0) {
-    // One automaton transition per byte, ~12 abstract ops each; stream
-    // reassembly rescans the retained tail and pays copy costs.
+    // One automaton transition per byte, ~12 abstract ops each.
     double bytes = static_cast<double>(packet.payload_bytes());
     if (options_.stream_reassembly) {
       bytes += static_cast<double>(options_.reassembly_tail_bytes);
@@ -55,10 +61,15 @@ double SignatureEngine::scan_cost_ops(const Packet& packet) const noexcept {
 }
 
 std::size_t SignatureEngine::reassembly_bytes() const noexcept {
-  // Each live flow owns one fixed inline TailBuffer slab slot plus ~16
-  // bytes of table-slot overhead (honest for the new representation: the
-  // buffer's full capacity is committed whether or not it is filled).
-  return stream_tail_.size() * (sizeof(TailBuffer) + 16);
+  // Each live flow owns one StreamState slab slot plus its ~16 byte table
+  // slot; the few flows with a match inside the window add a TailHit
+  // list (slab slot, table slot and heap capacity).
+  std::size_t bytes = stream_state_.size() * (sizeof(StreamState) + 16);
+  stream_tail_hits_.for_each(
+      [&](std::uint64_t, const std::vector<TailHit>& hits) {
+        bytes += sizeof(hits) + 16 + hits.capacity() * sizeof(TailHit);
+      });
+  return bytes;
 }
 
 void SignatureEngine::process(const Packet& packet, SimTime now,
@@ -94,98 +105,138 @@ Detection SignatureEngine::make_detection(const Packet& packet, SimTime now,
 
 namespace {
 
-/// Union of two ascending unique id lists, ascending unique — the order
-/// find_set would have produced over the concatenated stream.
-void merge_sorted_unique(const std::vector<std::size_t>& a,
-                         const std::vector<std::size_t>& b,
-                         std::vector<std::size_t>& out) {
-  out.clear();
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      out.push_back(a[i++]);
-    } else if (b[j] < a[i]) {
-      out.push_back(b[j++]);
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
+/// Records an occurrence `distance` bytes from the end, keeping the
+/// latest (nearest) one per pattern.
+template <class TailHit>
+void note_tail_hit(std::vector<TailHit>& hits, std::uint32_t pattern_id,
+                   std::uint32_t distance) {
+  for (TailHit& hit : hits) {
+    if (hit.pattern_id == pattern_id) {
+      hit.distance = std::min(hit.distance, distance);
+      return;
     }
   }
-  out.insert(out.end(), a.begin() + static_cast<std::ptrdiff_t>(i), a.end());
-  out.insert(out.end(), b.begin() + static_cast<std::ptrdiff_t>(j), b.end());
+  hits.push_back(TailHit{pattern_id, distance});
 }
 
 }  // namespace
 
-const SignatureEngine::CachedHits& SignatureEngine::cached_hits(
-    const std::shared_ptr<const std::string>& payload,
-    std::size_t rescanned_bytes) {
-  if (const CachedHits* cached = payload_memo_.find(payload)) {
-    payload_memo_.credit_saved(
-        payload->size() - std::min(payload->size(), rescanned_bytes));
-    return *cached;
+void SignatureEngine::scan_payload(std::string_view payload,
+                                   PayloadScan& scan) {
+  scan.ids.clear();
+  scan.tail_hits.clear();
+  const std::size_t n = payload.size();
+  const std::size_t tail = options_.reassembly_tail_bytes;
+  AhoCorasick::Node node = AhoCorasick::kRoot;
+  for (std::size_t i = 0; i < n; ++i) {
+    node = matcher_->step(node, static_cast<unsigned char>(payload[i]));
+    for (const std::int32_t pid : matcher_->outputs(node)) {
+      const auto id = static_cast<std::size_t>(pid);
+      if (seen_[id] == 0) {
+        seen_[id] = 1;
+        scan.ids.push_back(id);
+      }
+      const std::size_t distance = n - (i + 1) + matcher_->pattern_length(id);
+      if (distance <= tail) {
+        note_tail_hit(scan.tail_hits, static_cast<std::uint32_t>(pid),
+                      static_cast<std::uint32_t>(distance));
+      }
+    }
   }
-  // One full scan per distinct interned payload: keep the raw match list
-  // (sensitivity-independent) and derive the sorted-unique id set once.
-  scratch_hits_.matches = matcher_->find_all(*payload);
-  scratch_hits_.ids.clear();
-  for (const AhoCorasick::Match& m : scratch_hits_.matches) {
-    scratch_hits_.ids.push_back(m.pattern_id);
+  for (const std::size_t id : scan.ids) seen_[id] = 0;
+  std::sort(scan.ids.begin(), scan.ids.end());
+  scan.end_node = matcher_->clamp_depth(node, tail);
+}
+
+const SignatureEngine::PayloadScan& SignatureEngine::fill_scan(
+    const std::shared_ptr<const std::string>& payload) {
+  scan_payload(*payload, scratch_scan_);
+  const PayloadScan* stored =
+      options_.scan_cache ? payload_memo_.store(payload, scratch_scan_)
+                          : nullptr;
+  return stored != nullptr ? *stored : scratch_scan_;
+}
+
+const std::vector<std::size_t>& SignatureEngine::stream_hits(
+    std::uint64_t flow_id, std::string_view payload,
+    const PayloadScan& scan) {
+  const std::size_t n = payload.size();
+  const std::size_t tail = options_.reassembly_tail_bytes;
+  StreamState& state = *stream_state_.try_emplace(flow_id).first;
+  std::vector<TailHit>* tail_hits =
+      state.has_tail_hits ? stream_tail_hits_.find(flow_id) : nullptr;
+  const auto note = [&](std::uint32_t pattern_id, std::size_t distance) {
+    if (distance > tail) return;
+    if (tail_hits == nullptr) {
+      tail_hits = stream_tail_hits_.try_emplace(flow_id).first;
+    }
+    note_tail_hit(*tail_hits, pattern_id,
+                  static_cast<std::uint32_t>(distance));
+  };
+
+  hits_.clear();
+  // Patterns lying wholly inside the retained tail: a scan of
+  // tail || payload reports them again. Then age them past the payload;
+  // those that slide out of the window are forgotten.
+  if (tail_hits != nullptr) {
+    for (TailHit& hit : *tail_hits) {
+      hits_.push_back(hit.pattern_id);
+      hit.distance += static_cast<std::uint32_t>(n);
+    }
+    std::erase_if(*tail_hits,
+                  [&](const TailHit& hit) { return hit.distance > tail; });
   }
-  std::sort(scratch_hits_.ids.begin(), scratch_hits_.ids.end());
-  scratch_hits_.ids.erase(
-      std::unique(scratch_hits_.ids.begin(), scratch_hits_.ids.end()),
-      scratch_hits_.ids.end());
-  if (const CachedHits* stored = payload_memo_.store(payload, scratch_hits_)) {
-    return *stored;
+
+  // Boundary walk: step the carried state over the payload's head while
+  // it still reaches back into the tail (depth > bytes stepped). Every
+  // match that crosses the boundary ends in this stretch, which is at
+  // most L-1 bytes long. Once the state fits inside the payload it
+  // equals the state of the payload's own walk, whose hits the scan
+  // already holds.
+  const std::size_t limit =
+      std::min(n, matcher_->max_pattern_length() - 1);
+  AhoCorasick::Node node = state.node;
+  std::size_t k = 0;
+  while (k < limit && matcher_->depth(node) > k) {
+    node = matcher_->step(node, static_cast<unsigned char>(payload[k]));
+    ++k;
+    for (const std::int32_t pid : matcher_->outputs(node)) {
+      const auto id = static_cast<std::size_t>(pid);
+      hits_.push_back(id);
+      note(static_cast<std::uint32_t>(pid),
+           n - k + matcher_->pattern_length(id));
+    }
   }
-  return scratch_hits_;
+  if (k > 0) telemetry::bump(boundary_rescans_);
+  // A payload of at least L bytes fixes the end state by itself.
+  const bool straddles =
+      n < matcher_->max_pattern_length() && matcher_->depth(node) > k;
+  state.node = straddles ? matcher_->clamp_depth(node, tail) : scan.end_node;
+  for (const TailHit& hit : scan.tail_hits) note(hit.pattern_id, hit.distance);
+  state.has_tail_hits = tail_hits != nullptr && !tail_hits->empty();
+
+  if (hits_.empty()) return scan.ids;
+  hits_.insert(hits_.end(), scan.ids.begin(), scan.ids.end());
+  std::sort(hits_.begin(), hits_.end());
+  hits_.erase(std::unique(hits_.begin(), hits_.end()), hits_.end());
+  return hits_;
 }
 
 void SignatureEngine::check_patterns(const Packet& packet, SimTime now,
                                      double min_conf,
                                      std::vector<Detection>& out) {
-  const std::vector<std::size_t>* hits = nullptr;
-  std::vector<std::size_t> local;
-  if (options_.stream_reassembly) {
-    TailBuffer& tail = *stream_tail_.try_emplace(packet.flow_id).first;
-    if (options_.scan_cache && packet.payload != nullptr) {
-      // Boundary-limited reassembly: the only matches the per-payload
-      // memo cannot know about cross the packet boundary, and every one
-      // of those ends within the first L-1 payload bytes (L = longest
-      // pattern). Scanning the whole retained tail (≤ 64 B — patterns
-      // entirely inside the tail re-fire evidence exactly as the legacy
-      // full rescan did) plus that prefix, then merging with the cached
-      // payload-only ids, reproduces find_set(tail || payload) exactly.
-      const std::string& payload = packet.payload_view();
-      const std::size_t max_len = matcher_->max_pattern_length();
-      const std::size_t prefix =
-          std::min(payload.size(), max_len > 0 ? max_len - 1 : 0);
-      scan_buf_.assign(tail.data(), tail.size());
-      scan_buf_.append(payload, 0, prefix);
-      telemetry::bump(boundary_rescans_);
-      const std::vector<std::size_t> boundary = matcher_->find_set(scan_buf_);
-      merge_sorted_unique(boundary, cached_hits(packet.payload, prefix).ids,
-                          merged_hits_);
-      hits = &merged_hits_;
-    } else {
-      // Legacy scan path (the --no-scan-cache pin): rescan the retained
-      // tail concatenated with the whole payload.
-      scan_buf_.assign(tail.data(), tail.size());
-      scan_buf_.append(packet.payload_view());
-      local = matcher_->find_set(scan_buf_);
-      hits = &local;
-    }
-    tail.append(packet.payload_view(), options_.reassembly_tail_bytes);
-  } else if (options_.scan_cache && packet.payload != nullptr) {
-    hits = &cached_hits(packet.payload, 0).ids;
-  } else {
-    local = matcher_->find_set(packet.payload_view());
-    hits = &local;
-  }
-  for (const std::size_t pid : *hits) {
+  // One algorithm whether or not the memo is on: the memo only saves
+  // re-walking payloads it has seen.
+  const PayloadScan* memoized =
+      options_.scan_cache ? payload_memo_.find(packet.payload) : nullptr;
+  if (memoized != nullptr) payload_memo_.credit_saved(packet.payload_bytes());
+  const PayloadScan& scan =
+      memoized != nullptr ? *memoized : fill_scan(packet.payload);
+  const std::vector<std::size_t>& hits =
+      options_.stream_reassembly
+          ? stream_hits(packet.flow_id, packet.payload_view(), scan)
+          : scan.ids;
+  for (const std::size_t pid : hits) {
     const PatternRule& rule = rules_.patterns[pattern_rule_index_[pid]];
     if (rule.dst_port && *rule.dst_port != packet.tuple.dst_port) continue;
     if (rule.proto && *rule.proto != packet.tuple.proto) continue;
@@ -294,7 +345,8 @@ void SignatureEngine::check_thresholds(const Packet& packet, SimTime now,
 }
 
 void SignatureEngine::reset_state() {
-  stream_tail_.clear();
+  stream_state_.clear();
+  stream_tail_hits_.clear();
   fanout_by_src_.clear();
   syn_by_dst_.clear();
   rate_by_flow_.clear();

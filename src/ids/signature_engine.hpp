@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <string>
@@ -37,20 +36,20 @@ struct SignatureEngineOptions {
   /// When false the engine only evaluates header/threshold rules — the
   /// cheap mode whose inadequacy the X3 ablation demonstrates.
   bool deep_inspection = true;
-  /// Stream reassembly: retain the tail of each flow's byte stream and
-  /// scan it concatenated with the next payload, so patterns split across
-  /// packet boundaries (Ptacek-Newsham evasion) still match. Costs per-
-  /// flow memory and extra scan bytes — engines without it are faster and
-  /// blind to kEvasiveExploit.
+  /// Stream reassembly: carry each flow's matcher state across packets,
+  /// so patterns split across packet boundaries (Ptacek-Newsham evasion)
+  /// still match. Costs per-flow memory and boundary work — engines
+  /// without it are faster and blind to kEvasiveExploit.
   bool stream_reassembly = false;
-  /// Clamped to TailBuffer::kCapacity (64): the per-flow tail lives in a
-  /// fixed inline buffer, not a heap string.
+  /// How much of a flow's past stream reassembly keeps in view: each
+  /// packet's hits are those of a scan over the stream's last
+  /// reassembly_tail_bytes joined with the payload. Clamped to 64.
   std::size_t reassembly_tail_bytes = 64;
   /// Interned-payload scan cache (ids/scan_cache.hpp): memoize each
-  /// pooled payload's raw Aho-Corasick hit list and only rescan the
-  /// boundary window under stream reassembly. Detection output and the
-  /// golden determinism hash are byte-identical on or off — off replays
-  /// the exact legacy full-rescan path (regression pinning).
+  /// pooled payload's automaton walk (hit ids, end state, matches near
+  /// its end). Off recomputes the walk for every packet through the same
+  /// algorithm, so detection output and the golden determinism hash are
+  /// identical on or off; only wall-clock time changes.
   bool scan_cache = true;
 };
 
@@ -106,55 +105,47 @@ class SignatureEngine {
     std::deque<netsim::SimTime> events;
     netsim::SimTime cooldown_until;
   };
-  /// Fixed-capacity inline stream tail: the retained suffix of a flow's
-  /// byte stream, capped at kCapacity. Appending is equivalent to
-  /// `tail = last min(cap, tail+payload) bytes of (tail || payload)`
-  /// without materializing the concatenation — no per-packet heap churn.
-  class TailBuffer {
-   public:
-    static constexpr std::size_t kCapacity = 64;
-
-    std::string_view view() const noexcept { return {bytes_, size_}; }
-    const char* data() const noexcept { return bytes_; }
-    std::size_t size() const noexcept { return size_; }
-
-    void append(std::string_view payload, std::size_t cap) noexcept {
-      cap = std::min(cap, kCapacity);
-      if (payload.size() >= cap) {
-        std::memcpy(bytes_, payload.data() + (payload.size() - cap), cap);
-        size_ = cap;
-        return;
-      }
-      const std::size_t keep_old = std::min(size_, cap - payload.size());
-      if (keep_old > 0 && keep_old < size_) {
-        std::memmove(bytes_, bytes_ + (size_ - keep_old), keep_old);
-      }
-      std::memcpy(bytes_ + keep_old, payload.data(), payload.size());
-      size_ = keep_old + payload.size();
-    }
-
-   private:
-    char bytes_[kCapacity];
-    std::size_t size_ = 0;
+  /// Longest stream suffix reassembly keeps in view.
+  static constexpr std::size_t kMaxTailBytes = 64;
+  /// A pattern occurrence near the end of a stream or payload: `distance`
+  /// counts the bytes from the occurrence's first byte to the end.
+  struct TailHit {
+    std::uint32_t pattern_id;
+    std::uint32_t distance;
   };
-  /// One memoized payload scan: the raw automaton hit list (pattern id +
-  /// end offset — sensitivity-independent; the confidence gate applies
-  /// after matching) plus the sorted-unique pattern ids derived from it
-  /// (what find_set would have returned).
-  struct CachedHits {
-    std::vector<AhoCorasick::Match> matches;
-    std::vector<std::size_t> ids;
+  /// One payload scanned from the automaton root, all from a single walk
+  /// (memoized per interned payload; sensitivity-independent — the
+  /// confidence gate applies after matching).
+  struct PayloadScan {
+    std::vector<std::size_t> ids;  ///< Sorted-unique ids: find_set(payload).
+    /// Each pattern's latest occurrence starting within the payload's
+    /// last reassembly_tail_bytes.
+    std::vector<TailHit> tail_hits;
+    /// State after the payload, depth-clamped to reassembly_tail_bytes.
+    AhoCorasick::Node end_node = AhoCorasick::kRoot;
+  };
+  /// Per-flow reassembly state: the automaton state after the stream's
+  /// last reassembly_tail_bytes. A flow with a pattern occurrence lying
+  /// inside that window also owns a TailHit list in stream_tail_hits_.
+  struct StreamState {
+    AhoCorasick::Node node = AhoCorasick::kRoot;
+    bool has_tail_hits = false;
   };
 
   void check_patterns(const netsim::Packet& packet, netsim::SimTime now,
                       double min_conf, std::vector<Detection>& out);
-  /// Memo lookup/fill for one interned payload. `rescanned_bytes` is how
-  /// much of the payload the caller scans anyway (the boundary-window
-  /// prefix under reassembly) and is excluded from the bytes-saved
-  /// credit on a hit.
-  const CachedHits& cached_hits(
-      const std::shared_ptr<const std::string>& payload,
-      std::size_t rescanned_bytes);
+  /// Walks `payload` from the root into `scan`.
+  void scan_payload(std::string_view payload, PayloadScan& scan);
+  /// Walks a payload the memo lacks; returns the memoized copy, or
+  /// scratch_scan_ when the memo is off or full.
+  const PayloadScan& fill_scan(
+      const std::shared_ptr<const std::string>& payload);
+  /// The pattern ids find_set(tail || payload) would report for this
+  /// flow, where tail is the stream's last reassembly_tail_bytes; then
+  /// advances the flow's state past the payload.
+  const std::vector<std::size_t>& stream_hits(std::uint64_t flow_id,
+                                              std::string_view payload,
+                                              const PayloadScan& scan);
   void check_thresholds(const netsim::Packet& packet, netsim::SimTime now,
                         double min_conf, std::vector<Detection>& out);
   bool already_fired(std::size_t rule_tag, std::uint64_t flow_id);
@@ -172,11 +163,12 @@ class SignatureEngine {
   util::FlowTable<std::uint32_t, PortFanout> fanout_by_src_;
   util::FlowTable<std::uint32_t, RateWindow> syn_by_dst_;
   util::FlowTable<std::uint64_t, RateWindow> rate_by_flow_;
-  util::FlowTable<std::uint64_t, TailBuffer> stream_tail_;
-  PayloadMemo<CachedHits> payload_memo_;
-  CachedHits scratch_hits_;  ///< Fallback when the memo is at capacity.
-  std::string scan_buf_;     ///< Reused tail||payload / window scratch.
-  std::vector<std::size_t> merged_hits_;  ///< Reused union scratch.
+  util::FlowTable<std::uint64_t, StreamState> stream_state_;
+  util::FlowTable<std::uint64_t, std::vector<TailHit>> stream_tail_hits_;
+  PayloadMemo<PayloadScan> payload_memo_;
+  PayloadScan scratch_scan_;  ///< Memo off or at capacity.
+  std::vector<std::uint8_t> seen_;  ///< Per-pattern scratch for walks.
+  std::vector<std::size_t> hits_;   ///< Reused per-packet hit union.
   telemetry::Counter* boundary_rescans_;
   FiredSet fired_;  ///< Exact (rule_tag, flow) pairs (see fired_set.hpp).
 };

@@ -178,6 +178,9 @@ inline constexpr std::string_view kPayloadPoolMisses = "payload.pool_misses";
 inline constexpr std::string_view kPayloadPoolGrown = "payload.pool_grown";
 // Interned-payload scan cache (ids/scan_cache.hpp): engine memo traffic,
 // aggregated across all signature/anomaly engines in the run.
+// boundary_rescans counts boundary steps: reassembled packets whose
+// carried automaton state reached back into the flow's tail, so the
+// engine stepped it across the packet boundary.
 inline constexpr std::string_view kScanCacheHits = "scan_cache.hits";
 inline constexpr std::string_view kScanCacheMisses = "scan_cache.misses";
 inline constexpr std::string_view kScanCacheBytesSaved =

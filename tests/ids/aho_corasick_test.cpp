@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "traffic/payload.hpp"
 #include "util/rng.hpp"
@@ -124,6 +127,129 @@ TEST(AhoCorasickTest, ManyPatternsStress) {
     const auto set = ac.find_set(text);
     EXPECT_TRUE(std::find(set.begin(), set.end(), pid) != set.end());
   }
+}
+
+// --- Stepping API ---------------------------------------------------------
+
+std::string random_text(util::Rng& rng, std::size_t len,
+                        std::string_view alphabet) {
+  std::string s(len, '\0');
+  for (char& ch : s) ch = alphabet[rng.index(alphabet.size())];
+  return s;
+}
+
+AhoCorasick::Node walk(const AhoCorasick& ac, std::string_view text,
+                       AhoCorasick::Node node = AhoCorasick::kRoot) {
+  for (const char ch : text) {
+    node = ac.step(node, static_cast<unsigned char>(ch));
+  }
+  return node;
+}
+
+const std::vector<std::string> kStepPatterns = {
+    "ab", "abab", "bab", "aaa", "b", "abba", "ababababab", "cab", "abcabc"};
+
+TEST(AhoCorasickTest, SteppingOverBReportsTheMatchesOfABEndingInB) {
+  const AhoCorasick ac(kStepPatterns);
+  util::Rng rng(31);
+  for (int round = 0; round < 300; ++round) {
+    const std::string a = random_text(rng, rng.index(20), "abc");
+    const std::string b = random_text(rng, rng.index(20), "abc");
+    std::vector<std::pair<std::size_t, std::size_t>> stepped;
+    AhoCorasick::Node node = walk(ac, a);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      node = ac.step(node, static_cast<unsigned char>(b[i]));
+      for (const std::int32_t pid : ac.outputs(node)) {
+        stepped.emplace_back(static_cast<std::size_t>(pid), a.size() + i + 1);
+      }
+    }
+    std::vector<std::pair<std::size_t, std::size_t>> want;
+    for (const auto& m : ac.find_all(a + b)) {
+      if (m.end_offset > a.size()) {
+        want.emplace_back(m.pattern_id, m.end_offset);
+      }
+    }
+    EXPECT_EQ(stepped, want) << "a=" << a << " b=" << b;
+  }
+}
+
+TEST(AhoCorasickTest, EndNodeOfAPayloadWalkIsTheStreamNode) {
+  // A walk from the root over a payload of at least L bytes ends where a
+  // stream that ends with that payload does: the state's depth never
+  // exceeds L, so it cannot reach back past the payload. Shorter payloads
+  // agree as soon as the stream state's depth fits inside the bytes read.
+  const AhoCorasick ac(kStepPatterns);
+  const std::size_t longest = ac.max_pattern_length();
+  util::Rng rng(32);
+  for (int round = 0; round < 300; ++round) {
+    const std::string prefix = random_text(rng, rng.index(30), "abc");
+    const std::string payload = random_text(rng, 1 + rng.index(30), "abc");
+    AhoCorasick::Node stream = walk(ac, prefix);
+    AhoCorasick::Node own = AhoCorasick::kRoot;
+    bool converged = ac.depth(stream) == 0;
+    for (std::size_t k = 0; k < payload.size(); ++k) {
+      const auto byte = static_cast<unsigned char>(payload[k]);
+      stream = ac.step(stream, byte);
+      own = ac.step(own, byte);
+      converged = converged || ac.depth(stream) <= k + 1;
+      if (converged) {
+        EXPECT_EQ(stream, own) << prefix << "|" << payload;
+      }
+      EXPECT_LE(ac.depth(stream), longest);
+    }
+    EXPECT_EQ(stream, walk(ac, prefix + payload));
+    EXPECT_EQ(own, walk(ac, payload));
+    if (payload.size() >= longest) {
+      EXPECT_EQ(stream, own);
+    }
+  }
+}
+
+TEST(AhoCorasickTest, DepthClampKeepsExactlyMatchesStartingInTheWindow) {
+  const AhoCorasick ac(kStepPatterns);
+  util::Rng rng(33);
+  for (int round = 0; round < 300; ++round) {
+    const std::string past = random_text(rng, rng.index(30), "abc");
+    const std::string next = random_text(rng, 1 + rng.index(12), "abc");
+    const std::size_t window = rng.index(12);
+    const AhoCorasick::Node clamped =
+        ac.clamp_depth(walk(ac, past), window);
+    const std::string kept =
+        past.substr(past.size() - std::min(window, past.size()));
+    EXPECT_LE(ac.depth(clamped), window);
+    EXPECT_EQ(clamped, walk(ac, kept)) << past << " w=" << window;
+    // Stepping on from the clamped state finds exactly the matches of
+    // kept || next that end in next: those starting inside the window.
+    std::vector<std::size_t> stepped;
+    AhoCorasick::Node node = clamped;
+    for (const char ch : next) {
+      node = ac.step(node, static_cast<unsigned char>(ch));
+      for (const std::int32_t pid : ac.outputs(node)) {
+        stepped.push_back(static_cast<std::size_t>(pid));
+      }
+    }
+    std::vector<std::size_t> want;
+    for (const auto& m : ac.find_all(kept + next)) {
+      if (m.end_offset > kept.size()) want.push_back(m.pattern_id);
+    }
+    EXPECT_EQ(stepped, want) << past << "|" << next << " w=" << window;
+  }
+}
+
+TEST(AhoCorasickTest, DepthAndOutputsDescribeTheNode) {
+  const AhoCorasick ac({"he", "she", "his", "hers"});
+  const AhoCorasick::Node she = walk(ac, "she");
+  EXPECT_EQ(ac.depth(AhoCorasick::kRoot), 0u);
+  EXPECT_TRUE(ac.outputs(AhoCorasick::kRoot).empty());
+  EXPECT_EQ(ac.depth(she), 3u);
+  // "she" ends both "she" and, through its fail link, "he".
+  std::vector<std::int32_t> out(ac.outputs(she).begin(),
+                                ac.outputs(she).end());
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<std::int32_t>{0, 1}));
+  EXPECT_EQ(ac.clamp_depth(she, 2), walk(ac, "he"));
+  EXPECT_EQ(ac.clamp_depth(she, 0), AhoCorasick::kRoot);
+  EXPECT_EQ(ac.pattern_length(3), 4u);
 }
 
 }  // namespace

@@ -2,10 +2,11 @@
 // pure optimization — detections AND pre-gate evidence byte-identical
 // with the cache on or off — while actually short-circuiting repeated
 // payload scans. Covers the PayloadMemo container (pinning, capacity),
-// the entropy memo in the anomaly engine, and the boundary-limited
-// reassembly merge in the signature engine (a pattern straddling the
-// packet boundary plus the same pattern fully inside the payload must
-// deduplicate exactly as the legacy full rescan did).
+// the entropy memo in the anomaly engine, and the signature engine's
+// memoized walks, which with the memo on and off must equal the naive
+// full-rescan oracle (a pattern straddling the packet boundary plus the
+// same pattern fully inside the payload deduplicate exactly as the full
+// rescan of tail || payload does).
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "attack/patterns.hpp"
+#include "full_rescan_oracle.hpp"
 #include "ids/anomaly_engine.hpp"
 #include "ids/scan_cache.hpp"
 #include "ids/signature_engine.hpp"
@@ -45,25 +47,9 @@ Packet shared_packet(std::uint64_t flow, std::uint32_t seq, PayloadRef ref,
   return p;
 }
 
-/// Records every pre-gate observation so cached and legacy engines can
-/// be compared on the full evidence stream, not just gated detections.
-struct RecordingSink : EvidenceSink {
-  struct Obs {
-    std::uint64_t flow;
-    EvidenceChannel channel;
-    double strength;
-    double critical;
-    bool strict;
-    bool operator==(const Obs&) const = default;
-  };
-  std::vector<Obs> observations;
-  void observe(std::uint64_t flow_id, EvidenceChannel channel,
-               double strength, double critical_sensitivity,
-               bool strict_trigger) override {
-    observations.push_back(
-        Obs{flow_id, channel, strength, critical_sensitivity, strict_trigger});
-  }
-};
+using oracle::detection_keys;
+using oracle::OracleReplay;
+using oracle::RecordingSink;
 
 void expect_same_detections(const std::vector<Detection>& a,
                             const std::vector<Detection>& b) {
@@ -202,22 +188,41 @@ TEST(ScanCacheTest, EntropyMemoIsBitIdenticalToRecomputation) {
             0u);
 }
 
-// --- Boundary-limited reassembly merge (signature engine) -----------------
+// --- Memoized walks vs the full-rescan oracle (signature engine) ---------
 
-SignatureEngine signature_engine(bool cache, bool reassembly = true) {
+/// The shipped pattern rules. Threshold rules are out of the oracle's
+/// scope (and never see payload bytes).
+RuleSet pattern_rules() {
+  RuleSet rules = standard_rule_set();
+  rules.thresholds.clear();
+  return rules;
+}
+
+SignatureEngineOptions signature_options(bool reassembly = true) {
   SignatureEngineOptions opt;
   opt.sensitivity = 0.9;  // admit weak rules: more hits to compare
   opt.stream_reassembly = reassembly;
-  opt.scan_cache = cache;
-  return SignatureEngine(standard_rule_set(), opt);
+  return opt;
+}
+
+void expect_replay_matches_oracle(const OracleReplay& replay) {
+  for (const oracle::ReplaySide* side : {&replay.cached, &replay.uncached}) {
+    const char* which = side == &replay.cached ? "memo on" : "memo off";
+    EXPECT_EQ(side->per_packet, replay.reference.per_packet) << which;
+    EXPECT_EQ(side->sink.observations, replay.reference.sink.observations)
+        << which;
+    EXPECT_EQ(detection_keys(side->detections),
+              detection_keys(replay.reference.detections))
+        << which;
+  }
 }
 
 TEST(ScanCacheTest, BoundaryStraddleAndInsideHitDeduplicate) {
   // The same pattern appears twice in flight: once straddling the packet
-  // boundary (only the boundary-window rescan can see it) and once fully
-  // inside the second payload (the cached payload hits see it). The
-  // merged result must equal the legacy full rescan exactly: one
-  // evidence observation per scan that saw the id, one detection total.
+  // boundary (only the carried automaton state can see it) and once
+  // fully inside the second payload (the memoized payload walk sees it).
+  // Both engines must equal the full rescan exactly: one evidence
+  // observation per packet that saw the id, one detection per flow.
   const std::string traversal(attack::patterns::kDirTraversal);
   const std::string head = "GET " + traversal.substr(0, 7);
   const std::string rest =
@@ -225,44 +230,29 @@ TEST(ScanCacheTest, BoundaryStraddleAndInsideHitDeduplicate) {
   const PayloadRef head_ref = intern(head);
   const PayloadRef rest_ref = intern(rest);
 
-  auto cached = signature_engine(true);
-  auto legacy = signature_engine(false);
-  RecordingSink cached_sink;
-  RecordingSink legacy_sink;
-  cached.set_evidence_sink(&cached_sink);
-  legacy.set_evidence_sink(&legacy_sink);
-
-  std::vector<Detection> cached_out;
-  std::vector<Detection> legacy_out;
+  OracleReplay replay(pattern_rules(), signature_options());
   // Two flows replay the same split so the second flow hits the memo.
   for (std::uint64_t flow = 1; flow <= 2; ++flow) {
-    cached.process(shared_packet(flow, 1, head_ref), SimTime::from_ms(flow),
-                   cached_out);
-    cached.process(shared_packet(flow, 2, rest_ref), SimTime::from_ms(flow),
-                   cached_out);
-    legacy.process(shared_packet(flow, 1, head_ref), SimTime::from_ms(flow),
-                   legacy_out);
-    legacy.process(shared_packet(flow, 2, rest_ref), SimTime::from_ms(flow),
-                   legacy_out);
+    replay.feed(shared_packet(flow, 1, head_ref), SimTime::from_ms(flow));
+    replay.feed(shared_packet(flow, 2, rest_ref), SimTime::from_ms(flow));
   }
-  expect_same_detections(cached_out, legacy_out);
-  EXPECT_EQ(cached_sink.observations, legacy_sink.observations);
+  expect_replay_matches_oracle(replay);
 
   // The split pattern fired per flow (dedup is per (rule, flow))...
   std::size_t traversal_detections = 0;
-  for (const auto& d : cached_out) {
+  for (const auto& d : replay.cached.detections) {
     if (d.rule == "WEB-IIS dir traversal") ++traversal_detections;
   }
   EXPECT_EQ(traversal_detections, 2u);
   // ...and the replayed payloads were served from the memo.
-  EXPECT_GT(cached.scan_cache_stats().hits, 0u);
+  EXPECT_GT(replay.cached_engine.scan_cache_stats().hits, 0u);
 }
 
 TEST(ScanCacheTest, CachedEngineMatchesLegacyOnRandomizedStreams) {
   // Randomized replay over shared interned payloads — pattern fragments,
-  // whole patterns, benign noise — through reassembling cached vs legacy
-  // engines. Detections and evidence must be byte-identical, with real
-  // memo traffic on the cached side.
+  // whole patterns, benign noise — through reassembling engines with the
+  // memo on and off. Detections and evidence must equal the full-rescan
+  // oracle's, with real memo traffic on the memoizing side.
   const std::string traversal(attack::patterns::kDirTraversal);
   std::vector<PayloadRef> pool = {
       intern("GET /index.html HTTP/1.0\r\n"),
@@ -273,51 +263,41 @@ TEST(ScanCacheTest, CachedEngineMatchesLegacyOnRandomizedStreams) {
       intern("\x90\x90\x90"),
       intern("\x90\x90\x90\x90 trailer"),
   };
-  auto cached = signature_engine(true);
-  auto legacy = signature_engine(false);
-  RecordingSink cached_sink;
-  RecordingSink legacy_sink;
-  cached.set_evidence_sink(&cached_sink);
-  legacy.set_evidence_sink(&legacy_sink);
+  OracleReplay replay(pattern_rules(), signature_options());
 
   util::Rng rng(4242);
-  std::vector<Detection> cached_out;
-  std::vector<Detection> legacy_out;
   for (int i = 0; i < 600; ++i) {
     const std::uint64_t flow = 1 + rng.index(8);
     const PayloadRef& ref = pool[rng.index(pool.size())];
-    const Packet p = shared_packet(flow, static_cast<std::uint32_t>(i), ref);
-    const SimTime now = SimTime::from_ms(i);
-    cached.process(p, now, cached_out);
-    legacy.process(p, now, legacy_out);
+    replay.feed(shared_packet(flow, static_cast<std::uint32_t>(i), ref),
+                SimTime::from_ms(i));
   }
-  expect_same_detections(cached_out, legacy_out);
-  EXPECT_EQ(cached_sink.observations, legacy_sink.observations);
-  EXPECT_GT(cached.scan_cache_stats().hits, 100u);
-  EXPECT_LE(cached.scan_cache_stats().misses, pool.size());
+  expect_replay_matches_oracle(replay);
+  EXPECT_FALSE(replay.reference.detections.empty());
+  EXPECT_GT(replay.cached_engine.scan_cache_stats().hits, 100u);
+  EXPECT_LE(replay.cached_engine.scan_cache_stats().misses, pool.size());
 }
 
 TEST(ScanCacheTest, NonReassemblingCachedEngineMatchesLegacy) {
-  // Without reassembly the cached path is a pure find_set memo.
+  // Without reassembly each packet's hits are its memoized payload ids.
   const std::string traversal(attack::patterns::kDirTraversal);
   const PayloadRef hit_ref = intern("GET " + traversal + " HTTP/1.0");
   const PayloadRef miss_ref = intern("GET /style.css HTTP/1.0");
-  auto cached = signature_engine(true, /*reassembly=*/false);
-  auto legacy = signature_engine(false, /*reassembly=*/false);
-  std::vector<Detection> cached_out;
-  std::vector<Detection> legacy_out;
+  OracleReplay replay(pattern_rules(), signature_options(false));
   for (std::uint64_t flow = 1; flow <= 4; ++flow) {
     for (std::uint32_t seq = 1; seq <= 3; ++seq) {
       const PayloadRef& ref = seq == 2 ? hit_ref : miss_ref;
-      cached.process(shared_packet(flow, seq, ref), SimTime::from_ms(seq),
-                     cached_out);
-      legacy.process(shared_packet(flow, seq, ref), SimTime::from_ms(seq),
-                     legacy_out);
+      replay.feed(shared_packet(flow, seq, ref), SimTime::from_ms(seq));
     }
   }
-  expect_same_detections(cached_out, legacy_out);
-  EXPECT_EQ(cached.scan_cache_stats().misses, 2u);  // one per distinct ref
-  EXPECT_EQ(cached.scan_cache_stats().hits, 10u);
+  expect_replay_matches_oracle(replay);
+  // Per flow: the traversal rule and the weak /etc/passwd rule, once.
+  EXPECT_EQ(replay.reference.detections.size(), 8u);
+  const ScanCacheStats& stats = replay.cached_engine.scan_cache_stats();
+  EXPECT_EQ(stats.misses, 2u);  // one per distinct ref
+  EXPECT_EQ(stats.hits, 10u);
+  const ScanCacheStats& off = replay.uncached_engine.scan_cache_stats();
+  EXPECT_EQ(off.hits + off.misses, 0u);  // memo off never consults it
 }
 
 }  // namespace

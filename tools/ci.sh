@@ -16,7 +16,7 @@ jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)
 # The seeded bench binaries whose output holds no wall-clock figure:
 # each must print exactly its committed results/<name>.txt.
 # (bench_fig4_eer, bench_micro, bench_campaign and bench_netsim print
-# timings.)
+# timings; bench_fig4_eer is diffed with its timings masked.)
 results_benches=(bench_table1_logistical bench_table2_architectural
   bench_table3_performance bench_fig3_confusion bench_fig5_weighted_scores
   bench_fig6_requirement_mapping bench_x1_host_overhead
@@ -28,7 +28,7 @@ for preset in "${presets[@]}"; do
     echo "==== results: timing-free bench outputs vs results/ ===="
     cmake --preset default
     cmake --build --preset default -j"${jobs}" \
-      --target "${results_benches[@]}"
+      --target "${results_benches[@]}" bench_fig4_eer
     stale=0
     for bench in "${results_benches[@]}"; do
       if ! "build-default/bench/${bench}" | diff -u "results/${bench}.txt" -
@@ -37,6 +37,18 @@ for preset in "${presets[@]}"; do
         stale=1
       fi
     done
+    # bench_fig4_eer prints its sweeps' wall-clock cost ("0.824s wall",
+    # "speedup: 9.0x"); with those masked, its EER tables and evidence
+    # observation count must match the committed file.
+    mask_timings() {
+      sed -E 's/[0-9.]+s wall/<t>s wall/; s/speedup: [0-9.]+x/speedup: <r>x/'
+    }
+    if ! diff -u <(mask_timings < results/bench_fig4_eer.txt) \
+      <(build-default/bench/bench_fig4_eer | mask_timings)
+    then
+      echo "results/bench_fig4_eer.txt differs beyond its timing figures"
+      stale=1
+    fi
     [ "${stale}" -eq 0 ] || exit 1
     continue
   fi
@@ -105,13 +117,13 @@ for preset in "${presets[@]}"; do
     "build-${preset}/bench/bench_netsim" --smoke \
       --out "build-${preset}/BENCH_netsim_smoke.json"
     # Scan-cache focus run: the interned-payload memo, the flat-map port
-    # windows, and the boundary-limited reassembly merge get an explicit
-    # sanitizer pass, then a --no-scan-cache evaluation keeps the legacy
-    # full-rescan detection path exercised end to end (the determinism
-    # suite pins that both paths are byte-identical).
+    # windows, and the streaming reassembly (against the naive
+    # full-rescan oracle) get an explicit sanitizer pass, then a
+    # --no-scan-cache evaluation keeps the memo-off path exercised end to
+    # end (the determinism suite pins that both are byte-identical).
     echo "==== scan-cache focus (${preset}) ===="
     ctest --preset "${preset}" --output-on-failure --no-tests=error \
-      -R 'ScanCacheTest|FlatMapTest|ReassemblyTest'
+      -R 'ScanCacheTest|FlatMapTest|ReassemblyTest|FullRescanOracleTest'
     "build-${preset}/tools/idseval_cli" evaluate --product SentryNID \
       --no-scan-cache
     # Single-pass score-ledger sweep under the sanitizers: exercises the

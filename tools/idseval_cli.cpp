@@ -199,8 +199,8 @@ harness::TestbedConfig make_env(const Args& args) {
   harness::TestbedConfig env;
   env.profile = traffic::profile_by_name(args.opt("profile", "rt_cluster"));
   env.seed = args.number_opt<std::uint64_t>("seed", 42);
-  // --no-scan-cache replays the exact legacy full-rescan detection path
-  // (regression pinning for the interned-payload scan cache). Results
+  // --no-scan-cache turns the engines' payload memo off: every packet
+  // re-walks its payload through the same detection algorithm. Results
   // are byte-identical either way; only wall-clock changes.
   env.scan_cache = !args.has_flag("no-scan-cache");
   return env;
@@ -839,8 +839,8 @@ int usage() {
       "  trace-check --csv FILE [--expect-rows N] validate a CSV export\n"
       "--trace-sync writes trace events on the emitting thread (default\n"
       "is a background writer thread; both produce identical files)\n"
-      "--no-scan-cache replays the legacy full-rescan detection path\n"
-      "(results byte-identical to the default cached path)\n"
+      "--no-scan-cache turns the detection engines' payload memo off\n"
+      "(same algorithm, results byte-identical to the default)\n"
       "--kill-chain runs a staged campaign (recon -> exploit -> lateral\n"
       "-> exfil) instead of the flat mixed scenario and reports the\n"
       "per-ATT&CK-technique / per-stage detection breakdown\n"

@@ -9,7 +9,6 @@
 #include "ids/anomaly_engine.hpp"
 #include "netsim/simulator.hpp"
 #include "traffic/payload.hpp"
-#include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 
 using namespace idseval;
@@ -74,17 +73,6 @@ void BM_SimulatorEvents(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_SimulatorEvents)->Arg(1024)->Arg(16384);
-
-void BM_SpscRing(benchmark::State& state) {
-  util::SpscRing<std::uint64_t> ring(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    ring.try_push(++v);
-    benchmark::DoNotOptimize(ring.try_pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscRing);
 
 void BM_Xoshiro(benchmark::State& state) {
   util::Rng rng(7);

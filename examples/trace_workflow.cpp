@@ -29,9 +29,12 @@ traffic::Trace record_corpus() {
   attack::AttackEmitter emitter(sim, net, ledger, /*seed=*/7);
 
   traffic::Trace trace;
-  net.lan_switch().add_mirror([&](const netsim::Packet& p) {
-    trace.append_absolute(sim.now(), p);
-  });
+  net.lan_switch().add_mirror_batch(
+      [&](const netsim::Packet* packets, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+          trace.append_absolute(sim.now(), packets[i]);
+        }
+      });
 
   SimTime when = SimTime::from_ms(100);
   for (const auto& traits : attack::all_attack_traits()) {

@@ -49,11 +49,14 @@ void Testbed::build() {
     // the per-host accumulators merge in host order at collect().
     host_delivery_.push_back(std::make_unique<HostDelivery>());
     HostDelivery* hd = host_delivery_.back().get();
-    host->add_receiver([this, hd](const netsim::Packet& p) {
-      const double sec = (sim_.now() - p.created).sec();
-      hd->latency.add(sec);
-      hd->hist.add(sec);
-    });
+    host->add_receiver_batch(
+        [this, hd](const netsim::Packet* packets, std::size_t n) {
+          for (std::size_t i = 0; i < n; ++i) {
+            const double sec = (sim_.now() - packets[i].created).sec();
+            hd->latency.add(sec);
+            hd->hist.add(sec);
+          }
+        });
   }
 
   // External population: 198.51.100.x behind a WAN link.
@@ -92,9 +95,14 @@ void Testbed::build() {
   flowgen_->set_rate_scale(config_.rate_scale);
 
   // Stream accounting for the "# simultaneous TCP streams" units.
-  net_->lan_switch().add_mirror([this](const netsim::Packet& p) {
-    if (p.tuple.proto == netsim::Protocol::kTcp) streams_.observe(p);
-  });
+  net_->lan_switch().add_mirror_batch(
+      [this](const netsim::Packet* packets, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (packets[i].tuple.proto == netsim::Protocol::kTcp) {
+            streams_.observe(packets[i]);
+          }
+        }
+      });
   // Attack machinery.
   emitter_ = std::make_unique<attack::AttackEmitter>(
       sim_, *net_, ledger_, util::hash64("attacker") ^ config_.seed,

@@ -1,5 +1,7 @@
 #include "ids/host_agent.hpp"
 
+#include <algorithm>
+
 namespace idseval::ids {
 
 using netsim::Packet;
@@ -54,15 +56,16 @@ void HostAgent::set_anomaly_engine(std::unique_ptr<AnomalyEngine> engine) {
 
 void HostAgent::set_on_detection(DetectionFn fn) {
   on_detection_ = std::move(fn);
-  sensor_->set_on_detection([this](const Detection& d) {
-    // The finding leaves the host now but reaches the analyzer tier only
-    // after the report transit delay, on this agent's lane.
-    // Init-capture: plain [this, d] would give the closure a `const
-    // Detection` member (d is a const reference), demoting its move
-    // constructor to a throwing string copy and spilling the callback
-    // off the inline buffer.
-    sim_.schedule_at_lane(sim_.now() + config_.report_latency, lane_,
-                          [this, d = Detection(d)] { deliver_report(d); });
+  sensor_->set_on_detections([this](const Detection* ds, std::size_t n) {
+    // Each finding leaves the host now but reaches the analyzer tier only
+    // after the report transit delay, on this agent's lane. The
+    // init-capture keeps the closure's Detection non-const: a const
+    // member would demote its move constructor to a throwing string copy
+    // and spill the callback off the inline buffer.
+    for (std::size_t i = 0; i < n; ++i) {
+      sim_.schedule_at_lane(sim_.now() + config_.report_latency, lane_,
+                            [this, d = ds[i]] { deliver_report(d); });
+    }
   });
 }
 
@@ -94,27 +97,19 @@ void HostAgent::attach() {
   });
 }
 
-void HostAgent::observe(const Packet& packet) {
-  if (packet.tuple.dst_port == kMgmtPort) return;  // never self-analyze
-  // Logging happens for every delivered packet regardless of analysis.
-  const double log_ops = logging_ops_per_packet(config_.logging);
-  if (log_ops > 0.0) host_.charge_ops(log_ops, /*ids_work=*/true);
-  sensor_->ingest(packet);
-}
-
 void HostAgent::observe_batch(const Packet* packets, std::size_t count) {
-  if (count == 0) return;
-  if (count == 1) {
-    observe(*packets);
+  const auto is_report = [](const Packet& p) {
+    return p.tuple.dst_port == kMgmtPort;
+  };
+  if (std::any_of(packets, packets + count, is_report)) {
+    // Never self-analyze: skip the report packets and pass the others
+    // as runs of one.
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!is_report(packets[i])) observe_batch(&packets[i], 1);
+    }
     return;
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (packets[i].tuple.dst_port == kMgmtPort) {
-      // Mgmt traffic splits the batch; take the exact per-packet path.
-      for (std::size_t j = 0; j < count; ++j) observe(packets[j]);
-      return;
-    }
-  }
+  // Logging happens for every delivered packet regardless of analysis.
   const double log_ops = logging_ops_per_packet(config_.logging);
   if (log_ops > 0.0) {
     host_.charge_ops(log_ops * static_cast<double>(count),

@@ -93,10 +93,10 @@ class HostAgent {
   /// Runs at detection time + report_latency: emits the optional report
   /// packet and forwards to the analyzer callback.
   void deliver_report(const Detection& d);
-  void observe(const netsim::Packet& packet);
-  /// Same-tick delivery batch off the host downlink: logging ops are
-  /// charged once for the whole batch and the inner sensor gets one
-  /// batched ingest. Falls back per packet around mgmt-port traffic.
+  /// Same-tick delivery run off the host downlink: logging ops are
+  /// charged once for the whole run and the inner sensor gets one
+  /// ingest. A run holding mgmt-port traffic splits per packet: the
+  /// report packets are skipped and the others pass as runs of one.
   void observe_batch(const netsim::Packet* packets, std::size_t count);
 
   netsim::Simulator& sim_;

@@ -17,8 +17,7 @@ namespace idseval::netsim {
 
 class Host {
  public:
-  using ReceiveFn = std::function<void(const Packet&)>;
-  /// Batch observer: a same-tick arrival run off the downlink, FIFO order.
+  /// Observer of a same-tick arrival run off the downlink, FIFO order.
   using ReceiveBatchFn = std::function<void(const Packet*, std::size_t)>;
 
   Host(std::string name, Ipv4 address, double cpu_ops_per_sec = 1e9);
@@ -26,17 +25,12 @@ class Host {
   const std::string& name() const noexcept { return name_; }
   Ipv4 address() const noexcept { return address_; }
 
-  /// Registers a delivery observer; all observers see every packet in
-  /// registration order (production stack, host IDS agent, ...). Batch and
-  /// per-packet observers share one registration order.
-  void add_receiver(ReceiveFn fn) {
-    receivers_.push_back(ReceiverEntry{std::move(fn), nullptr});
-  }
+  /// Registers a delivery observer; all observers see every run in
+  /// registration order (production stack, host IDS agent, ...).
   void add_receiver_batch(ReceiveBatchFn fn) {
-    receivers_.push_back(ReceiverEntry{nullptr, std::move(fn)});
+    receivers_.push_back(std::move(fn));
   }
-  void deliver(const Packet& packet);
-  /// Batched delivery; a single-packet batch takes the legacy path.
+  /// Delivers a run of packets (a lone packet is a run of one).
   void deliver_batch(const Packet* packets, std::size_t count);
 
   /// --- CPU accounting -------------------------------------------------
@@ -54,17 +48,11 @@ class Host {
   std::uint64_t packets_received() const noexcept { return received_; }
 
  private:
-  /// Exactly one of the two callbacks is set per entry.
-  struct ReceiverEntry {
-    ReceiveFn each;
-    ReceiveBatchFn batch;
-  };
-
   std::string name_;
   Ipv4 address_;
   double cpu_ops_per_sec_;
 
-  std::vector<ReceiverEntry> receivers_;
+  std::vector<ReceiveBatchFn> receivers_;
   std::uint64_t received_ = 0;
 
   double ids_ops_ = 0.0;

@@ -39,14 +39,12 @@ struct LinkStats {
   }
 };
 
-/// Unidirectional link. `deliver` is invoked in simulation time when the
-/// packet's last bit arrives at the far end.
+/// Unidirectional link. The delivery callback is invoked in simulation
+/// time when the last bit of a run of packets arrives at the far end.
 class Link {
  public:
-  using DeliverFn = std::function<void(const Packet&)>;
-  /// Batch delivery: a contiguous run of packets that all arrived on the
-  /// same tick, in FIFO order. Preferred over DeliverFn when both are
-  /// set; single-packet arrivals come through with count == 1.
+  /// Delivery: a contiguous run of packets that all arrived on the same
+  /// tick, in FIFO order. A lone arrival is a run of one.
   using DeliverBatchFn = std::function<void(const Packet*, std::size_t)>;
 
   Link(Simulator& sim, std::string name, double bandwidth_bps,
@@ -55,14 +53,13 @@ class Link {
   /// Offers a packet to the link; returns false when the queue tail-drops.
   bool send(const Packet& packet);
 
-  void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
   void set_deliver_batch(DeliverBatchFn fn) {
     deliver_batch_ = std::move(fn);
   }
 
   /// When disabled, every packet gets its own delivery group and event
-  /// even at identical arrival ticks — the single-packet reference path
-  /// that batch-equivalence tests and benches compare against.
+  /// even at identical arrival ticks: runs of one through the same
+  /// delivery path, which run-length tests and benches compare against.
   void set_coalescing(bool enabled) noexcept { coalesce_ = enabled; }
   bool coalescing() const noexcept { return coalesce_; }
 
@@ -100,7 +97,6 @@ class Link {
   SimTime latency_;
   std::size_t queue_capacity_;
 
-  DeliverFn deliver_;
   DeliverBatchFn deliver_batch_;
   LinkStats stats_;
   std::size_t queued_ = 0;      ///< Packets queued or in serialization.

@@ -64,9 +64,10 @@ class Network {
   LinkStats aggregate_downlink_stats() const;
   void reset_link_stats();
 
-  /// Toggles same-tick delivery coalescing on every host link. Off gives
-  /// the one-event-per-packet reference path batch-equivalence tests and
-  /// benches compare against.
+  /// Toggles same-tick delivery coalescing on every host link. Off
+  /// delivers every packet as a run of one, with its own event, through
+  /// the same path: the run-length reference tests and benches compare
+  /// against.
   void set_delivery_coalescing(bool enabled);
 
   const std::vector<Host*>& hosts() const noexcept { return host_order_; }

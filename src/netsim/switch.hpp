@@ -28,8 +28,7 @@ struct SwitchStats {
 
 class Switch {
  public:
-  using MirrorFn = std::function<void(const Packet&)>;
-  /// Batch SPAN mirror: observes a same-tick arrival batch in one call.
+  /// SPAN mirror: observes a same-tick arrival run in one call.
   using MirrorBatchFn = std::function<void(const Packet*, std::size_t)>;
   /// In-line hook: receives the packet and a continuation that resumes
   /// normal forwarding; the hook may delay, drop, or forward immediately.
@@ -41,16 +40,15 @@ class Switch {
   /// Registers the egress link toward `addr`.
   void attach(Ipv4 addr, Link* egress);
 
-  /// Ingress entry point: called when a packet arrives at the switch.
-  void receive(const Packet& packet);
-  /// Batched ingress: a same-tick arrival run from one uplink, in FIFO
-  /// order. Mirror fan-out and stats/telemetry updates happen once per
-  /// batch; a single-packet batch takes the exact legacy receive() path.
+  /// Ingress: a same-tick arrival run from one uplink, in FIFO order (a
+  /// lone packet is a run of one). Mirror fan-out and stats/telemetry
+  /// updates happen once per run. While any source is blocked the run
+  /// splits per packet: each is counted as blocked or passed on as a run
+  /// of one, so mirror and forward events keep per-packet order.
   void receive_batch(const Packet* packets, std::size_t count);
 
-  /// SPAN: every forwarded packet is also copied to each mirror. Batch
-  /// and per-packet mirrors share one registration order.
-  void add_mirror(MirrorFn fn);
+  /// SPAN: every forwarded packet is also copied to each mirror, in
+  /// registration order.
   void add_mirror_batch(MirrorBatchFn fn);
   /// Installs / clears the in-line device hook.
   void set_inline_hook(InlineFn fn) { inline_hook_ = std::move(fn); }
@@ -65,21 +63,16 @@ class Switch {
   const std::string& name() const noexcept { return name_; }
 
  private:
-  void forward(const Packet& packet);
+  /// Mirrors, then the in-line hook or forwarding, for a run with no
+  /// blocked source.
+  void pass(const Packet* packets, std::size_t count);
   void forward_batch(const Packet* packets, std::size_t count);
-
-  /// Exactly one of the two callbacks is set per entry; the vector keeps
-  /// the combined registration order mirrors fire in.
-  struct MirrorEntry {
-    MirrorFn each;
-    MirrorBatchFn batch;
-  };
 
   Simulator& sim_;
   std::string name_;
   std::unordered_map<std::uint32_t, Link*> routes_;
   std::unordered_set<std::uint32_t> blocked_;
-  std::vector<MirrorEntry> mirrors_;
+  std::vector<MirrorBatchFn> mirrors_;
   InlineFn inline_hook_;
   SwitchStats stats_;
   // Whole-run telemetry (the switch is network infrastructure, never

@@ -33,6 +33,7 @@
 #include "products/catalog.hpp"
 #include "traffic/profile.hpp"
 #include "util/rng.hpp"
+#include "../netsim/per_packet.hpp"
 
 namespace idseval::harness {
 namespace {
@@ -141,8 +142,8 @@ std::uint64_t golden_run_hash(GoldenOptions opt = {}) {
   Testbed bed(cfg, &model, 0.5);
   bed.net().set_delivery_coalescing(opt.coalesce_delivery);
   StreamHash sh;
-  bed.net().lan_switch().add_mirror(
-      [&sh](const netsim::Packet& p) { hash_packet(sh, p); });
+  bed.net().lan_switch().add_mirror_batch(netsim::per_packet(
+      [&sh](const netsim::Packet& p) { hash_packet(sh, p); }));
   const auto scenario = attack::Scenario::mixed(
       2, SimTime::zero(), cfg.measure * 0.9,
       util::hash64("golden") ^ cfg.seed, cfg.external_hosts,
@@ -189,8 +190,8 @@ TEST(DeterminismTest, SingletonKillChainReproducesTheGoldenHash) {
   const auto& model = products::product(products::ProductId::kGuardSecure);
   Testbed bed(cfg, &model, 0.5);
   StreamHash sh;
-  bed.net().lan_switch().add_mirror(
-      [&sh](const netsim::Packet& p) { hash_packet(sh, p); });
+  bed.net().lan_switch().add_mirror_batch(netsim::per_packet(
+      [&sh](const netsim::Packet& p) { hash_packet(sh, p); }));
   const auto scenario = attack::Scenario::mixed(
       2, SimTime::zero(), cfg.measure * 0.9,
       util::hash64("golden") ^ cfg.seed, cfg.external_hosts,
@@ -209,8 +210,8 @@ std::uint64_t chain_run_hash() {
   const auto& model = products::product(products::ProductId::kGuardSecure);
   Testbed bed(cfg, &model, 0.5);
   StreamHash sh;
-  bed.net().lan_switch().add_mirror(
-      [&sh](const netsim::Packet& p) { hash_packet(sh, p); });
+  bed.net().lan_switch().add_mirror_batch(netsim::per_packet(
+      [&sh](const netsim::Packet& p) { hash_packet(sh, p); }));
   const auto chain = attack::KillChain::preset(
       "intrusion", util::hash64("chain") ^ cfg.seed, cfg.measure * 0.08,
       cfg.external_hosts, cfg.internal_hosts);

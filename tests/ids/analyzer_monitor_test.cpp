@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "ids/analyzer.hpp"
 #include "ids/monitor.hpp"
+#include "telemetry/registry.hpp"
+#include "util/strfmt.hpp"
+#include "../telemetry/instrument_values.hpp"
 
 namespace idseval::ids {
 namespace {
@@ -9,6 +16,11 @@ namespace {
 using netsim::FiveTuple;
 using netsim::Ipv4;
 using netsim::SimTime;
+
+/// A lone detection is submitted as a run of one.
+void submit_one(Analyzer& analyzer, const Detection& detection) {
+  analyzer.submit_batch(&detection, 1);
+}
 
 Detection detection(std::uint64_t flow, const std::string& rule,
                     int severity = 3,
@@ -30,8 +42,8 @@ TEST(AnalyzerTest, EmitsReportPerFlow) {
   analyzer.set_on_report([&](const ThreatReport& r) {
     reports.push_back(r);
   });
-  analyzer.submit(detection(1, "rule-a"));
-  analyzer.submit(detection(2, "rule-b"));
+  submit_one(analyzer, detection(1, "rule-a"));
+  submit_one(analyzer, detection(2, "rule-b"));
   sim.run_until();
   EXPECT_EQ(reports.size(), 2u);
   EXPECT_EQ(analyzer.stats().reports_out, 2u);
@@ -46,9 +58,9 @@ TEST(AnalyzerTest, MergesSameFlowWithinWindow) {
   analyzer.set_on_report([&](const ThreatReport& r) {
     reports.push_back(r);
   });
-  analyzer.submit(detection(1, "rule-a"));
-  analyzer.submit(detection(1, "rule-b"));
-  analyzer.submit(detection(1, "rule-c"));
+  submit_one(analyzer, detection(1, "rule-a"));
+  submit_one(analyzer, detection(1, "rule-b"));
+  submit_one(analyzer, detection(1, "rule-c"));
   sim.run_until();
   EXPECT_EQ(reports.size(), 1u);
   EXPECT_EQ(analyzer.stats().merged, 2u);
@@ -61,10 +73,10 @@ TEST(AnalyzerTest, SameFlowAfterWindowReportsAgain) {
   Analyzer analyzer(sim, cfg);
   int reports = 0;
   analyzer.set_on_report([&](const ThreatReport&) { ++reports; });
-  analyzer.submit(detection(1, "rule-a"));
+  submit_one(analyzer, detection(1, "rule-a"));
   sim.run_until();
   sim.schedule_at(SimTime::from_sec(5),
-                  [&] { analyzer.submit(detection(1, "rule-a")); });
+                  [&] { submit_one(analyzer, detection(1, "rule-a")); });
   sim.run_until();
   EXPECT_EQ(reports, 2);
 }
@@ -79,9 +91,9 @@ TEST(AnalyzerTest, OffenderEscalation) {
     reports.push_back(r);
   });
   // Three distinct rules from one source in the window: escalate.
-  analyzer.submit(detection(1, "rule-a", 3));
-  analyzer.submit(detection(2, "rule-b", 3));
-  analyzer.submit(detection(3, "rule-c", 3));
+  submit_one(analyzer, detection(1, "rule-a", 3));
+  submit_one(analyzer, detection(2, "rule-b", 3));
+  submit_one(analyzer, detection(3, "rule-c", 3));
   sim.run_until();
   ASSERT_EQ(reports.size(), 3u);
   EXPECT_EQ(reports[0].severity, 3);
@@ -98,7 +110,7 @@ TEST(AnalyzerTest, TransferDelayDelaysReports) {
   analyzer.set_on_report([&](const ThreatReport& r) {
     reported_at = r.when;
   });
-  analyzer.submit(detection(1, "rule-a"));
+  submit_one(analyzer, detection(1, "rule-a"));
   sim.run_until();
   EXPECT_GE(reported_at, SimTime::from_ms(50));
 }
@@ -110,10 +122,61 @@ TEST(AnalyzerTest, StorageGrowsPerDetection) {
   Analyzer analyzer(sim, cfg);
   analyzer.set_on_report([](const ThreatReport&) {});
   for (int i = 0; i < 10; ++i) {
-    analyzer.submit(detection(static_cast<std::uint64_t>(i), "r"));
+    submit_one(analyzer, detection(static_cast<std::uint64_t>(i), "r"));
   }
   sim.run_until();
   EXPECT_EQ(analyzer.stats().bytes_stored, 5120u);
+}
+
+TEST(AnalyzerTest, RunMatchesRunsOfOne) {
+  // A run mixing a repeated flow (merged), a new flow and three rules
+  // from one offender (escalated) lands on the same counters, reports,
+  // telemetry and analysis order as the same detections one at a time.
+  struct Outcome {
+    AnalyzerStats stats;
+    std::vector<std::string> reports;
+    std::map<std::string, double> telemetry;
+  };
+  auto drive = [](bool one_run) {
+    telemetry::Registry reg;
+    telemetry::ScopedRegistry scope(&reg);
+    netsim::Simulator sim;
+    AnalyzerConfig cfg;
+    cfg.escalation_rule_count = 2;
+    Analyzer analyzer(sim, cfg);
+    Outcome out;
+    analyzer.set_on_report([&](const ThreatReport& r) {
+      out.reports.push_back(util::cat(r.primary.flow_id, ":", r.primary.rule,
+                                      ":", r.severity, "@",
+                                      r.when.sec()));
+    });
+    const std::vector<Detection> run = {
+        detection(1, "rule-a"), detection(1, "rule-b"),
+        detection(2, "rule-c"), detection(3, "rule-a"),
+        detection(4, "rule-d", 3, Ipv4(198, 51, 100, 7))};
+    if (one_run) {
+      analyzer.submit_batch(run.data(), run.size());
+    } else {
+      for (const Detection& d : run) submit_one(analyzer, d);
+    }
+    sim.run_until();
+    out.stats = analyzer.stats();
+    out.telemetry = telemetry::instrument_values(reg);
+    return out;
+  };
+  const Outcome run = drive(true);
+  const Outcome singles = drive(false);
+  EXPECT_EQ(run.stats.detections_in, 5u);
+  EXPECT_EQ(run.stats.merged, 1u);
+  EXPECT_GT(run.stats.escalations, 0u);
+  EXPECT_EQ(run.stats.detections_in, singles.stats.detections_in);
+  EXPECT_EQ(run.stats.reports_out, singles.stats.reports_out);
+  EXPECT_EQ(run.stats.merged, singles.stats.merged);
+  EXPECT_EQ(run.stats.escalations, singles.stats.escalations);
+  EXPECT_EQ(run.stats.bytes_stored, singles.stats.bytes_stored);
+  ASSERT_EQ(run.reports.size(), 4u);
+  EXPECT_EQ(run.reports, singles.reports);
+  EXPECT_EQ(run.telemetry, singles.telemetry);
 }
 
 TEST(MonitorTest, RaisesAlertAfterNotificationDelay) {

@@ -23,6 +23,12 @@ using netsim::Packet;
 using netsim::SimTime;
 using netsim::TcpFlags;
 
+/// A lone packet is offered as a run of one.
+template <class Sink>
+void ingest_one(Sink& sink, const Packet& packet) {
+  sink.ingest_batch(&packet, 1);
+}
+
 Packet flow_packet(netsim::Simulator& sim, std::uint64_t flow,
                    TcpFlags flags = {}) {
   FiveTuple t;
@@ -68,8 +74,8 @@ TEST(FlowStateEvictionTest, LeastLoadedPinsReleasedOnFin) {
   LeastLoadedRig rig;
   constexpr std::uint64_t kFlows = 10;
   for (std::uint64_t flow = 1; flow <= kFlows; ++flow) {
-    rig.lb.ingest(flow_packet(rig.sim, flow));
-    rig.lb.ingest(flow_packet(rig.sim, flow));
+    ingest_one(rig.lb, flow_packet(rig.sim, flow));
+    ingest_one(rig.lb, flow_packet(rig.sim, flow));
   }
   rig.sim.run_until();
   EXPECT_EQ(rig.lb.pins_live(), kFlows);
@@ -78,7 +84,7 @@ TEST(FlowStateEvictionTest, LeastLoadedPinsReleasedOnFin) {
   TcpFlags fin;
   fin.fin = true;
   for (std::uint64_t flow = 1; flow <= kFlows; ++flow) {
-    rig.lb.ingest(flow_packet(rig.sim, flow, fin));
+    ingest_one(rig.lb, flow_packet(rig.sim, flow, fin));
   }
   rig.sim.run_until();
   EXPECT_EQ(rig.lb.pins_live(), 0u);
@@ -89,7 +95,7 @@ TEST(FlowStateEvictionTest, SinglePacketRstFlowIsNeverPinned) {
   LeastLoadedRig rig;
   TcpFlags rst;
   rst.rst = true;
-  rig.lb.ingest(flow_packet(rig.sim, 1, rst));
+  ingest_one(rig.lb, flow_packet(rig.sim, 1, rst));
   rig.sim.run_until();
   EXPECT_EQ(rig.lb.pins_live(), 0u);
   // Nothing was pinned, so nothing was evicted either.
@@ -104,8 +110,8 @@ TEST(FlowStateEvictionTest, PinTableStaysFlatUnderFlowChurn) {
   constexpr std::uint64_t kFlows = 2000;
   std::size_t peak_pins = 0;
   for (std::uint64_t flow = 1; flow <= kFlows; ++flow) {
-    rig.lb.ingest(flow_packet(rig.sim, flow));
-    rig.lb.ingest(flow_packet(rig.sim, flow, fin));
+    ingest_one(rig.lb, flow_packet(rig.sim, flow));
+    ingest_one(rig.lb, flow_packet(rig.sim, flow, fin));
     peak_pins = std::max(peak_pins, rig.lb.pins_live());
   }
   rig.sim.run_until();

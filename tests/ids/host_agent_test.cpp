@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "ids/rules.hpp"
 #include "attack/patterns.hpp"
+#include "telemetry/registry.hpp"
 #include "util/strfmt.hpp"
+#include "../netsim/per_packet.hpp"
+#include "../telemetry/instrument_values.hpp"
 
 namespace idseval::ids {
 namespace {
@@ -102,9 +109,9 @@ TEST_F(HostAgentTest, ReportsOverNetworkConsumeBandwidth) {
   agent.attach();
 
   int mgmt_packets = 0;
-  net_.lan_switch().add_mirror([&](const Packet& p) {
+  net_.lan_switch().add_mirror_batch(netsim::per_packet([&](const Packet& p) {
     if (p.tuple.dst_port == kMgmtPort) ++mgmt_packets;
-  });
+  }));
 
   send_to_host(util::cat("GET ", attack::patterns::kDirTraversal,
                          " HTTP/1.0\r\n"));
@@ -122,6 +129,95 @@ TEST_F(HostAgentTest, NeverAnalyzesOwnReports) {
   send_to_host("report payload", kMgmtPort);
   sim_.run_until();
   EXPECT_EQ(agent.sensor().stats().offered, 0u);
+}
+
+TEST(HostAgentRunTest, MgmtPacketMidRunIsSkippedAndTheRestMatch) {
+  // A delivery run with a management-port report in the middle: the
+  // report is never analyzed (not even when it carries an attack
+  // pattern), and the other packets cost the same logging and analysis
+  // ops, reach the sensor and raise the same findings as when they are
+  // delivered one at a time or as a run without the report.
+  enum class Delivery { kOneRun, kRunsOfOne, kRunWithoutReport };
+  struct Outcome {
+    std::uint64_t received = 0;
+    std::uint64_t offered = 0;
+    double ids_cpu = 0.0;
+    std::vector<std::uint64_t> detected_flows;
+    std::map<std::string, double> telemetry;
+  };
+  auto drive = [](Delivery delivery) {
+    telemetry::Registry reg;
+    telemetry::ScopedRegistry scope(&reg);
+    netsim::Simulator sim;
+    netsim::Network net(sim);
+    netsim::Host* host = net.add_host("node", Ipv4(10, 0, 0, 2), {}, 1e9);
+    HostAgentConfig cfg;
+    cfg.logging = LoggingLevel::kC2Audit;
+    SensorConfig sc;
+    sc.base_ops_per_packet = 2000.0;
+    HostAgent agent(sim, net, *host, cfg, sc);
+    agent.set_signature_engine(std::make_unique<SignatureEngine>(
+        standard_rule_set(), SignatureEngineOptions{0.5, true}));
+    Outcome out;
+    agent.set_on_detection([&](const Detection& d) {
+      out.detected_flows.push_back(d.flow_id);
+    });
+    agent.attach();
+
+    const std::string exploit = util::cat(
+        "GET ", attack::patterns::kDirTraversal, " HTTP/1.0\r\n");
+    std::vector<Packet> run;
+    auto add = [&](std::uint64_t flow, std::uint16_t dst_port,
+                   const std::string& payload) {
+      FiveTuple t;
+      t.src_ip = Ipv4(198, 51, 100, 1);
+      t.dst_ip = host->address();
+      t.src_port = 4000;
+      t.dst_port = dst_port;
+      run.push_back(netsim::make_packet(flow, flow, sim.now(), t, payload));
+    };
+    add(1, 80, exploit);
+    add(2, 80, "hello");
+    if (delivery != Delivery::kRunWithoutReport) {
+      add(3, kMgmtPort, exploit);
+    }
+    add(4, 80, exploit);
+    add(5, 80, "bye");
+
+    host->begin_accounting(sim.now());
+    if (delivery == Delivery::kRunsOfOne) {
+      for (const Packet& p : run) host->deliver_batch(&p, 1);
+    } else {
+      host->deliver_batch(run.data(), run.size());
+    }
+    sim.run_until();
+    host->end_accounting(netsim::SimTime::from_sec(1));
+    out.received = host->packets_received();
+    out.offered = agent.sensor().stats().offered;
+    out.ids_cpu = host->ids_cpu_fraction();
+    out.telemetry = telemetry::instrument_values(reg);
+    return out;
+  };
+  const Outcome run = drive(Delivery::kOneRun);
+  const Outcome singles = drive(Delivery::kRunsOfOne);
+  const Outcome clean = drive(Delivery::kRunWithoutReport);
+
+  EXPECT_EQ(run.received, 5u);
+  EXPECT_EQ(run.offered, 4u);  // the report is skipped
+  EXPECT_EQ(run.detected_flows, (std::vector<std::uint64_t>{1, 4}));
+  EXPECT_GT(run.ids_cpu, 0.0);
+  // The report splits the run into runs of one: identical to delivering
+  // the packets one at a time.
+  EXPECT_EQ(run.received, singles.received);
+  EXPECT_EQ(run.offered, singles.offered);
+  EXPECT_EQ(run.ids_cpu, singles.ids_cpu);
+  EXPECT_EQ(run.detected_flows, singles.detected_flows);
+  EXPECT_EQ(run.telemetry, singles.telemetry);
+  // Without the report the run stays whole; ops are charged once per
+  // run, so the CPU total agrees up to summation order.
+  EXPECT_EQ(clean.offered, run.offered);
+  EXPECT_DOUBLE_EQ(clean.ids_cpu, run.ids_cpu);
+  EXPECT_EQ(clean.detected_flows, run.detected_flows);
 }
 
 TEST_F(HostAgentTest, CpuShareLimitsAgentThroughput) {

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ids/sensor.hpp"
+#include "telemetry/registry.hpp"
 #include "util/rng.hpp"
+#include "../telemetry/instrument_values.hpp"
 
 namespace idseval::ids {
 namespace {
@@ -14,6 +19,12 @@ using netsim::FiveTuple;
 using netsim::Ipv4;
 using netsim::Packet;
 using netsim::SimTime;
+
+/// A lone packet is offered as a run of one.
+template <class Sink>
+void ingest_one(Sink& sink, const Packet& packet) {
+  sink.ingest_batch(&packet, 1);
+}
 
 Packet flow_packet(netsim::Simulator& sim, std::uint64_t flow,
                    Ipv4 src = Ipv4(198, 51, 100, 1),
@@ -42,7 +53,7 @@ TEST(LoadBalancerTest, NoneRoutesEverythingToSensorZero) {
   std::map<std::size_t, int> got;
   lb.set_forward([&](std::size_t idx, const Packet&) { ++got[idx]; });
   for (int i = 0; i < 20; ++i) {
-    lb.ingest(flow_packet(sim, static_cast<std::uint64_t>(i)));
+    ingest_one(lb, flow_packet(sim, static_cast<std::uint64_t>(i)));
   }
   sim.run_until();
   EXPECT_EQ(got.size(), 1u);
@@ -64,7 +75,7 @@ TEST(LoadBalancerTest, FlowHashIsSessionConsistent) {
       Packet p = flow_packet(sim, static_cast<std::uint64_t>(flow),
                              Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2),
                              sport);
-      lb.ingest(p);
+      ingest_one(lb, p);
     }
   }
   sim.run_until();
@@ -84,8 +95,8 @@ TEST(LoadBalancerTest, FlowHashHandlesBothDirections) {
   Packet rev = fwd;
   std::swap(rev.tuple.src_ip, rev.tuple.dst_ip);
   std::swap(rev.tuple.src_port, rev.tuple.dst_port);
-  lb.ingest(fwd);
-  lb.ingest(rev);
+  ingest_one(lb, fwd);
+  ingest_one(lb, rev);
   sim.run_until();
   EXPECT_EQ(sensors.size(), 1u);  // canonical tuple: same sensor
 }
@@ -100,7 +111,7 @@ TEST(LoadBalancerTest, FlowHashSpreadsFlows) {
         sim, static_cast<std::uint64_t>(i), Ipv4(198, 51, 100, 1),
         Ipv4(10, 0, 0, static_cast<std::uint8_t>(1 + rng.index(8))),
         static_cast<std::uint16_t>(rng.uniform_u64(1024, 65535)));
-    lb.ingest(p);
+    ingest_one(lb, p);
   }
   sim.run_until();
   EXPECT_LT(lb.stats().imbalance(), 1.2);
@@ -117,7 +128,7 @@ TEST(LoadBalancerTest, StaticByHostFollowsDestination) {
     Packet p = flow_packet(
         sim, static_cast<std::uint64_t>(i), Ipv4(198, 51, 100, 1),
         Ipv4(10, 0, 0, static_cast<std::uint8_t>(1 + i % 8)));
-    lb.ingest(p);
+    ingest_one(lb, p);
   }
   sim.run_until();
   for (const auto& [dst, sensors] : dst_sensors) {
@@ -133,13 +144,13 @@ TEST(LoadBalancerTest, LeastLoadedPrefersShortQueue) {
   slow.ops_per_sec = 1e9;
   Sensor busy(sim, slow);
   Sensor idle(sim, slow);
-  for (int i = 0; i < 10; ++i) busy.ingest(flow_packet(sim, 1000));
+  for (int i = 0; i < 10; ++i) ingest_one(busy, flow_packet(sim, 1000));
 
   LoadBalancer lb(sim, cfg(LbStrategy::kLeastLoaded), 2);
   lb.set_sensors({&busy, &idle});
   std::map<std::size_t, int> got;
   lb.set_forward([&](std::size_t idx, const Packet&) { ++got[idx]; });
-  lb.ingest(flow_packet(sim, 1));  // new flow -> idle sensor (index 1)
+  ingest_one(lb, flow_packet(sim, 1));  // new flow -> idle sensor (index 1)
   sim.run_until();
   EXPECT_EQ(got[1], 1);
   EXPECT_EQ(got.count(0), 0u);
@@ -157,8 +168,8 @@ TEST(LoadBalancerTest, LeastLoadedPinsFlows) {
     flow_sensors[p.flow_id].insert(idx);
   });
   for (int pkt = 0; pkt < 20; ++pkt) {
-    lb.ingest(flow_packet(sim, 1));
-    lb.ingest(flow_packet(sim, 2));
+    ingest_one(lb, flow_packet(sim, 1));
+    ingest_one(lb, flow_packet(sim, 2));
   }
   sim.run_until();
   EXPECT_EQ(flow_sensors[1].size(), 1u);
@@ -173,11 +184,61 @@ TEST(LoadBalancerTest, QueueOverflowDrops) {
   LoadBalancer lb(sim, c, 2);
   lb.set_forward([](std::size_t, const Packet&) {});
   for (int i = 0; i < 20; ++i) {
-    lb.ingest(flow_packet(sim, static_cast<std::uint64_t>(i)));
+    ingest_one(lb, flow_packet(sim, static_cast<std::uint64_t>(i)));
   }
   EXPECT_EQ(lb.stats().dropped, 12u);
   sim.run_until();
   EXPECT_EQ(lb.stats().forwarded, 8u);
+}
+
+TEST(LoadBalancerTest, RunMatchesRunsOfOneThroughAQueueFullDrop) {
+  // Twelve packets against an eight-slot queue: the queue fills mid-run
+  // and the last four drop. One run of twelve and twelve runs of one
+  // must agree on stats, telemetry and forwarding order.
+  struct Outcome {
+    LoadBalancerStats stats;
+    std::vector<std::pair<std::size_t, std::uint64_t>> forwarded;
+    std::map<std::string, double> telemetry;
+  };
+  auto drive = [](bool one_run) {
+    telemetry::Registry reg;
+    telemetry::ScopedRegistry scope(&reg);
+    netsim::Simulator sim;
+    LoadBalancerConfig c = cfg(LbStrategy::kFlowHash);
+    c.queue_capacity = 8;
+    LoadBalancer lb(sim, c, 3);
+    Outcome out;
+    lb.set_forward([&](std::size_t idx, const Packet& p) {
+      out.forwarded.emplace_back(idx, p.id);
+    });
+    std::vector<Packet> run;
+    for (std::uint16_t i = 0; i < 12; ++i) {
+      run.push_back(flow_packet(sim, i, Ipv4(198, 51, 100, 1),
+                                Ipv4(10, 0, 0, 2),
+                                static_cast<std::uint16_t>(4000 + i)));
+    }
+    if (one_run) {
+      lb.ingest_batch(run.data(), run.size());
+    } else {
+      for (const Packet& p : run) ingest_one(lb, p);
+    }
+    sim.run_until();
+    out.stats = lb.stats();
+    out.telemetry = telemetry::instrument_values(reg);
+    return out;
+  };
+  const Outcome run = drive(true);
+  const Outcome singles = drive(false);
+  EXPECT_EQ(run.stats.offered, 12u);
+  EXPECT_EQ(run.stats.dropped, 4u);
+  EXPECT_EQ(run.stats.forwarded, 8u);
+  EXPECT_EQ(run.stats.offered, singles.stats.offered);
+  EXPECT_EQ(run.stats.dropped, singles.stats.dropped);
+  EXPECT_EQ(run.stats.forwarded, singles.stats.forwarded);
+  EXPECT_EQ(run.stats.per_sensor, singles.stats.per_sensor);
+  EXPECT_EQ(run.forwarded, singles.forwarded);
+  EXPECT_EQ(run.telemetry, singles.telemetry);
+  EXPECT_EQ(run.telemetry.at("lb.dropped"), 4.0);
 }
 
 TEST(LoadBalancerTest, ImbalanceComputation) {

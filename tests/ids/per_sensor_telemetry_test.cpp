@@ -17,6 +17,12 @@ using netsim::FiveTuple;
 using netsim::Ipv4;
 using netsim::Packet;
 
+/// A lone packet is offered as a run of one.
+template <class Sink>
+void ingest_one(Sink& sink, const Packet& packet) {
+  sink.ingest_batch(&packet, 1);
+}
+
 Packet plain_packet(netsim::Simulator& sim) {
   FiveTuple t;
   t.src_ip = Ipv4(198, 51, 100, 1);
@@ -52,7 +58,7 @@ TEST(PerSensorTelemetryTest, ScopedCountersPartitionTheAggregate) {
   std::vector<Packet> batch;
   for (int i = 0; i < 5; ++i) batch.push_back(plain_packet(sim));
   s0.ingest_batch(batch.data(), batch.size());
-  for (int i = 0; i < 3; ++i) s1.ingest(plain_packet(sim));
+  for (int i = 0; i < 3; ++i) ingest_one(s1, plain_packet(sim));
   sim.run_until();
 
   EXPECT_EQ(counter_value(reg, "sensor.0.offered"), 5u);
@@ -70,7 +76,7 @@ TEST(PerSensorTelemetryTest, NoScopeMeansNoScopedInstruments) {
   telemetry::ScopedRegistry scope(&reg);
   netsim::Simulator sim;
   Sensor sensor(sim, scoped_config(""));
-  sensor.ingest(plain_packet(sim));
+  ingest_one(sensor, plain_packet(sim));
   sim.run_until();
   EXPECT_EQ(counter_value(reg, telemetry::names::kSensorOffered), 1u);
   EXPECT_EQ(reg.find_counter("sensor.0.offered"), nullptr);
@@ -82,7 +88,7 @@ TEST(PerSensorTelemetryTest, ResetStatsClearsScopedInstruments) {
   telemetry::ScopedRegistry scope(&reg);
   netsim::Simulator sim;
   Sensor sensor(sim, scoped_config("sensor.0"));
-  sensor.ingest(plain_packet(sim));
+  ingest_one(sensor, plain_packet(sim));
   sim.run_until();
   ASSERT_EQ(counter_value(reg, "sensor.0.offered"), 1u);
   sensor.reset_stats();

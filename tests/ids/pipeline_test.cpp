@@ -7,6 +7,7 @@
 
 #include "attack/patterns.hpp"
 #include "util/strfmt.hpp"
+#include "../netsim/per_packet.hpp"
 
 namespace idseval::ids {
 namespace {
@@ -211,7 +212,8 @@ TEST_F(PipelineTest, InlineLbDelaysProductionTraffic) {
     auto* dst = net.add_host("h1", Ipv4(10, 0, 0, 1));
     net.add_external_host("ext", Ipv4(198, 51, 100, 1));
     SimTime* slot = &passive_arrival;
-    dst->add_receiver([&sim, slot](const Packet&) { *slot = sim.now(); });
+    dst->add_receiver_batch(netsim::per_packet(
+        [&sim, slot](const Packet&) { *slot = sim.now(); }));
     PipelineConfig c = base_config();
     c.use_load_balancer = true;
     c.lb.in_line = false;
@@ -230,7 +232,8 @@ TEST_F(PipelineTest, InlineLbDelaysProductionTraffic) {
     auto* dst = net.add_host("h1", Ipv4(10, 0, 0, 1));
     net.add_external_host("ext", Ipv4(198, 51, 100, 1));
     SimTime* slot = &inline_arrival;
-    dst->add_receiver([&sim, slot](const Packet&) { *slot = sim.now(); });
+    dst->add_receiver_batch(netsim::per_packet(
+        [&sim, slot](const Packet&) { *slot = sim.now(); }));
     PipelineConfig c = base_config();
     c.use_load_balancer = true;
     c.lb.in_line = true;

@@ -1,7 +1,7 @@
-// Batch-boundary tests for vectorized sensor ingest: ingest_batch must
-// land on exactly the stats the per-packet path produces — including a
-// failure tripped mid-batch dropping the remainder — with host op
-// charges accumulated to one call per batch.
+// Run-length tests for sensor ingest: one run of n packets must land on
+// exactly the stats n runs of one produce — including a failure tripped
+// mid-run dropping the remainder — with host op charges accumulated to
+// one call per run.
 #include "ids/sensor.hpp"
 
 #include <gtest/gtest.h>
@@ -56,7 +56,7 @@ TEST(SensorBatchTest, BatchIngestMatchesPerPacketStats) {
   std::vector<Packet> batch;
   for (int i = 0; i < 10; ++i) batch.push_back(plain_packet(sim_a));
   batch_sensor.ingest_batch(batch.data(), batch.size());
-  for (const Packet& p : batch) ref_sensor.ingest(p);
+  for (const Packet& p : batch) ref_sensor.ingest_batch(&p, 1);
   sim_a.run_until();
   sim_b.run_until();
   expect_same_stats(batch_sensor.stats(), ref_sensor.stats());
@@ -73,7 +73,7 @@ TEST(SensorBatchTest, QueueOverflowWithinBatchMatchesPerPacket) {
   std::vector<Packet> batch;
   for (int i = 0; i < 20; ++i) batch.push_back(plain_packet(sim_a));
   batch_sensor.ingest_batch(batch.data(), batch.size());
-  for (const Packet& p : batch) ref_sensor.ingest(p);
+  for (const Packet& p : batch) ref_sensor.ingest_batch(&p, 1);
   EXPECT_EQ(batch_sensor.stats().dropped_queue, 12u);
   sim_a.run_until();
   sim_b.run_until();
@@ -93,7 +93,7 @@ TEST(SensorBatchTest, FailureMidBatchDropsRemainderLikePerPacket) {
   std::vector<Packet> batch;
   for (int i = 0; i < 50; ++i) batch.push_back(plain_packet(sim_a));
   batch_sensor.ingest_batch(batch.data(), batch.size());
-  for (const Packet& p : batch) ref_sensor.ingest(p);
+  for (const Packet& p : batch) ref_sensor.ingest_batch(&p, 1);
   // The backlog trips the failure partway through; everything after the
   // trip must be accounted as dropped_failed on both paths.
   EXPECT_TRUE(batch_sensor.failed());
@@ -143,7 +143,7 @@ TEST(SensorBatchTest, HostChargedOncePerBatchWithSameTotal) {
   std::vector<Packet> batch;
   for (int i = 0; i < 16; ++i) batch.push_back(plain_packet(sim_a));
   batch_sensor.ingest_batch(batch.data(), batch.size());
-  for (const Packet& p : batch) ref_sensor.ingest(p);
+  for (const Packet& p : batch) ref_sensor.ingest_batch(&p, 1);
   sim_a.run_until();
   sim_b.run_until();
   host_a.end_accounting(sim_a.now());
@@ -154,14 +154,21 @@ TEST(SensorBatchTest, HostChargedOncePerBatchWithSameTotal) {
   EXPECT_GT(host_a.ids_cpu_fraction(), 0.0);
 }
 
-TEST(SensorBatchTest, SingletonBatchTakesLegacyIngestPath) {
+TEST(SensorBatchTest, RunOfOneIsOfferedProcessedAndCharged) {
   netsim::Simulator sim;
+  netsim::Host host("h", Ipv4(10, 0, 0, 1), 1e9);
   Sensor sensor(sim, fast_config());
+  sensor.bind_host(&host);
+  host.begin_accounting(sim.now());
   const Packet p = plain_packet(sim);
   sensor.ingest_batch(&p, 1);
+  EXPECT_EQ(sensor.queue_depth(), 1u);
   sim.run_until();
+  host.end_accounting(SimTime::from_sec(1));
   EXPECT_EQ(sensor.stats().offered, 1u);
   EXPECT_EQ(sensor.stats().processed, 1u);
+  // 1000 base ops on a 1e9 ops/s host over a 1 s window.
+  EXPECT_DOUBLE_EQ(host.ids_cpu_fraction(), 1e-6);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// Batch-boundary tests for the link's coalesced delivery path: same-tick
-// arrivals must form one delivery group, adjacent-tick arrivals must not,
-// and the coalescing-off reference path must produce identical stats and
-// delivery order — the equivalence the golden-hash test relies on.
+// Run-length tests for the link's coalesced delivery: same-tick arrivals
+// must form one delivery run, adjacent-tick arrivals must not, and with
+// coalescing off (every packet a run of one) stats and delivery order
+// must be identical — the invariance the golden-hash test relies on.
 #include "netsim/link.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
+
+#include "per_packet.hpp"
 
 namespace idseval::netsim {
 namespace {
@@ -68,9 +70,9 @@ TEST(LinkBatchTest, BatchPreservesIntraTickSeqOrder) {
 }
 
 TEST(LinkBatchTest, CoalescingOffMatchesBatchedStatsAndOrder) {
-  // Identical traffic through a coalescing link and through the
-  // single-packet reference path: byte/packet stats and the delivered
-  // order must agree; only the batch granularity differs.
+  // Identical traffic through a coalescing link and through runs of
+  // one: byte/packet stats and the delivered order must agree; only the
+  // run length differs.
   auto run = [](bool coalesce, std::vector<std::uint64_t>& order,
                 std::vector<std::size_t>& sizes) {
     Simulator sim;
@@ -98,29 +100,13 @@ TEST(LinkBatchTest, CoalescingOffMatchesBatchedStatsAndOrder) {
   for (const std::size_t n : off_sizes) EXPECT_EQ(n, 1u);
 }
 
-TEST(LinkBatchTest, SingletonGroupPrefersBatchCallback) {
-  Simulator sim;
-  Link link(sim, "l", 1e9, SimTime::zero(), 8);
-  int batch_calls = 0;
-  int single_calls = 0;
-  link.set_deliver([&](const Packet&) { ++single_calls; });
-  link.set_deliver_batch([&](const Packet*, std::size_t n) {
-    ++batch_calls;
-    EXPECT_EQ(n, 1u);
-  });
-  link.send(test_packet(sim, 100));
-  sim.run_until();
-  EXPECT_EQ(batch_calls, 1);
-  EXPECT_EQ(single_calls, 0);
-}
-
 TEST(LinkBatchTest, LazySlotReleaseFreesQueueBeforeDelivery) {
   Simulator sim;
   // 1000B at 8 Mb/s = 1 ms serialization; 10 ms propagation. Slots free
   // at tx-done (1 ms, 2 ms) even though delivery happens at 11/12 ms.
   Link link(sim, "l", 8e6, SimTime::from_ms(10), /*queue=*/2);
   int delivered = 0;
-  link.set_deliver([&](const Packet&) { ++delivered; });
+  link.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   link.send(test_packet(sim, 960));
   link.send(test_packet(sim, 960));
   EXPECT_FALSE(link.send(test_packet(sim, 960)));  // full

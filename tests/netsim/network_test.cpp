@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "per_packet.hpp"
 
 namespace idseval::netsim {
 namespace {
@@ -44,7 +48,7 @@ TEST_F(NetworkTest, FindHost) {
 
 TEST_F(NetworkTest, DeliversEndToEnd) {
   int received = 0;
-  b_->add_receiver([&](const Packet&) { ++received; });
+  b_->add_receiver_batch(per_packet([&](const Packet&) { ++received; }));
   net_.send(packet(a_->address(), b_->address()));
   sim_.run_until();
   EXPECT_EQ(received, 1);
@@ -54,7 +58,8 @@ TEST_F(NetworkTest, DeliversEndToEnd) {
 
 TEST_F(NetworkTest, ExternalToInternalTraversesWan) {
   SimTime arrival;
-  b_->add_receiver([&](const Packet&) { arrival = sim_.now(); });
+  b_->add_receiver_batch(per_packet(
+      [&](const Packet&) { arrival = sim_.now(); }));
   net_.send(packet(ext_->address(), b_->address()));
   sim_.run_until();
   // WAN latency (20ms default) dominates: arrival well past LAN-only time.
@@ -74,7 +79,8 @@ TEST_F(NetworkTest, UnroutableDestinationCountsNoRoute) {
 
 TEST_F(NetworkTest, MirrorSeesForwardedTraffic) {
   int mirrored = 0;
-  net_.lan_switch().add_mirror([&](const Packet&) { ++mirrored; });
+  net_.lan_switch().add_mirror_batch(per_packet(
+      [&](const Packet&) { ++mirrored; }));
   net_.send(packet(a_->address(), b_->address()));
   net_.send(packet(b_->address(), a_->address()));
   sim_.run_until();
@@ -83,7 +89,7 @@ TEST_F(NetworkTest, MirrorSeesForwardedTraffic) {
 
 TEST_F(NetworkTest, BlockedSourceIsDroppedAtSwitch) {
   int received = 0;
-  b_->add_receiver([&](const Packet&) { ++received; });
+  b_->add_receiver_batch(per_packet([&](const Packet&) { ++received; }));
   net_.lan_switch().block_source(a_->address());
   net_.send(packet(a_->address(), b_->address()));
   sim_.run_until();
@@ -98,7 +104,8 @@ TEST_F(NetworkTest, BlockedSourceIsDroppedAtSwitch) {
 
 TEST_F(NetworkTest, InlineHookCanDelayForwarding) {
   SimTime arrival;
-  b_->add_receiver([&](const Packet&) { arrival = sim_.now(); });
+  b_->add_receiver_batch(per_packet(
+      [&](const Packet&) { arrival = sim_.now(); }));
   SimTime baseline_arrival;
   {
     // First measure without hook.
@@ -119,7 +126,7 @@ TEST_F(NetworkTest, InlineHookCanDelayForwarding) {
 
 TEST_F(NetworkTest, InlineHookCanDropTraffic) {
   int received = 0;
-  b_->add_receiver([&](const Packet&) { ++received; });
+  b_->add_receiver_batch(per_packet([&](const Packet&) { ++received; }));
   net_.lan_switch().set_inline_hook(
       [](const Packet&, std::function<void(const Packet&)>) {
         // Swallow everything.
@@ -157,6 +164,46 @@ TEST_F(NetworkTest, ChargesOutsideAccountingWindowIgnored) {
   a_->begin_accounting(sim_.now());
   a_->end_accounting(sim_.now() + SimTime::from_sec(1));
   EXPECT_EQ(a_->ids_cpu_fraction(), 0.0);
+}
+
+TEST(HostTest, RunMatchesRunsOfOneInRegistrationOrder) {
+  // Two receivers see every packet; within one run the first-registered
+  // receiver goes first. One run of three and three runs of one give
+  // each receiver the same packets in the same order.
+  auto deliver = [](bool one_run, std::vector<std::string>& calls) {
+    Host host("h", Ipv4(10, 0, 0, 2));
+    std::vector<std::uint64_t> first;
+    std::vector<std::uint64_t> second;
+    host.add_receiver_batch([&](const Packet* p, std::size_t n) {
+      calls.push_back("first");
+      for (std::size_t i = 0; i < n; ++i) first.push_back(p[i].seq);
+    });
+    host.add_receiver_batch([&](const Packet* p, std::size_t n) {
+      calls.push_back("second");
+      for (std::size_t i = 0; i < n; ++i) second.push_back(p[i].seq);
+    });
+    std::vector<Packet> run;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      run.push_back(make_packet(i + 1, 1, SimTime::zero(), FiveTuple{}, "x"));
+      run.back().seq = static_cast<std::uint32_t>(i);
+    }
+    if (one_run) {
+      host.deliver_batch(run.data(), run.size());
+    } else {
+      for (const Packet& p : run) host.deliver_batch(&p, 1);
+    }
+    EXPECT_EQ(host.packets_received(), 3u);
+    EXPECT_EQ(first, (std::vector<std::uint64_t>{0, 1, 2}));
+    EXPECT_EQ(second, first);
+  };
+  std::vector<std::string> run_calls;
+  std::vector<std::string> single_calls;
+  deliver(true, run_calls);
+  deliver(false, single_calls);
+  EXPECT_EQ(run_calls, (std::vector<std::string>{"first", "second"}));
+  EXPECT_EQ(single_calls,
+            (std::vector<std::string>{"first", "second", "first", "second",
+                                      "first", "second"}));
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-// Batch-boundary tests for the switch's coalesced fan-out: a same-tick
-// batch must produce the same stats, mirror copies, and forwarded packets
-// as the per-packet path, with mirror/stat updates hoisted to one per
-// batch; blocked sources force the per-packet fallback.
+// Run-length tests for the switch's fan-out: a same-tick run of n
+// packets must produce the same stats, mirror copies, and forwarded
+// packets as n runs of one, with mirror/stat updates hoisted to one per
+// run; a blocked source splits the run into runs of one.
 #include "netsim/switch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <utility>
 #include <vector>
+
+#include "per_packet.hpp"
 
 namespace idseval::netsim {
 namespace {
@@ -36,21 +39,22 @@ TEST_F(SwitchBatchTest, BatchMatchesPerPacketStats) {
   Switch reference(sim2);
   Link egress_a(sim_, "a", 1e9, SimTime::zero(), 64);
   Link egress_b(sim2, "b", 1e9, SimTime::zero(), 64);
-  egress_a.set_deliver([](const Packet&) {});
-  egress_b.set_deliver([](const Packet&) {});
+  egress_a.set_deliver_batch([](const Packet*, std::size_t) {});
+  egress_b.set_deliver_batch([](const Packet*, std::size_t) {});
   sw_.attach(Ipv4(10, 0, 0, 2), &egress_a);
   reference.attach(Ipv4(10, 0, 0, 2), &egress_b);
   int batch_mirrored = 0;
   int ref_mirrored = 0;
-  sw_.add_mirror([&](const Packet&) { ++batch_mirrored; });
-  reference.add_mirror([&](const Packet&) { ++ref_mirrored; });
+  sw_.add_mirror_batch(per_packet([&](const Packet&) { ++batch_mirrored; }));
+  reference.add_mirror_batch(per_packet(
+      [&](const Packet&) { ++ref_mirrored; }));
 
   std::vector<Packet> batch;
   for (std::uint64_t i = 0; i < 4; ++i) {
     batch.push_back(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), i));
   }
   sw_.receive_batch(batch.data(), batch.size());
-  for (const Packet& p : batch) reference.receive(p);
+  for (const Packet& p : batch) reference.receive_batch(&p, 1);
   sim_.run_until();
   sim2.run_until();
 
@@ -65,7 +69,7 @@ TEST_F(SwitchBatchTest, BatchMatchesPerPacketStats) {
 TEST_F(SwitchBatchTest, EmptyMirrorBatchStillForwards) {
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 64);
   int delivered = 0;
-  egress.set_deliver([&](const Packet&) { ++delivered; });
+  egress.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
   std::vector<Packet> batch;
   for (std::uint64_t i = 0; i < 3; ++i) {
@@ -84,7 +88,7 @@ TEST_F(SwitchBatchTest, BatchMirrorSeesWholeBatchOnce) {
   sw_.add_mirror_batch([&](const Packet*, std::size_t n) {
     batch_sizes.push_back(n);
   });
-  sw_.add_mirror([&](const Packet&) { ++per_packet_copies; });
+  sw_.add_mirror_batch(per_packet([&](const Packet&) { ++per_packet_copies; }));
   std::vector<Packet> batch;
   for (std::uint64_t i = 0; i < 5; ++i) {
     batch.push_back(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 9), i));
@@ -97,24 +101,38 @@ TEST_F(SwitchBatchTest, BatchMirrorSeesWholeBatchOnce) {
   EXPECT_EQ(sw_.stats().mirrored, 10u);
 }
 
-TEST_F(SwitchBatchTest, SingletonBatchTakesLegacyPath) {
-  std::vector<std::size_t> batch_sizes;
+TEST_F(SwitchBatchTest, RunOfOneReachesEachMirrorOnceInOrder) {
+  Link egress(sim_, "egress", 1e9, SimTime::zero(), 64);
+  egress.set_deliver_batch([](const Packet*, std::size_t) {});
+  sw_.attach(Ipv4(10, 0, 0, 2), &egress);
+  std::vector<std::pair<char, std::size_t>> calls;
   sw_.add_mirror_batch([&](const Packet*, std::size_t n) {
-    batch_sizes.push_back(n);
+    calls.emplace_back('a', n);
   });
-  const Packet p = make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 9));
+  sw_.add_mirror_batch([&](const Packet*, std::size_t n) {
+    calls.emplace_back('b', n);
+  });
+  const Packet p = make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2));
   sw_.receive_batch(&p, 1);
-  ASSERT_EQ(batch_sizes.size(), 1u);
-  EXPECT_EQ(batch_sizes[0], 1u);
-  EXPECT_EQ(sw_.stats().mirrored, 1u);
+  sim_.run_until();
+  const std::vector<std::pair<char, std::size_t>> expected = {{'a', 1},
+                                                               {'b', 1}};
+  EXPECT_EQ(calls, expected);
+  EXPECT_EQ(sw_.stats().mirrored, 2u);
+  EXPECT_EQ(sw_.stats().forwarded, 1u);
+  EXPECT_EQ(egress.stats().delivered_packets, 1u);
 }
 
 TEST_F(SwitchBatchTest, BlockedSourceFallsBackPerPacket) {
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 64);
-  egress.set_deliver([](const Packet&) {});
+  egress.set_deliver_batch([](const Packet*, std::size_t) {});
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
-  int mirrored = 0;
-  sw_.add_mirror([&](const Packet&) { ++mirrored; });
+  std::vector<std::uint64_t> mirrored;
+  std::vector<std::size_t> run_sizes;
+  sw_.add_mirror_batch([&](const Packet* p, std::size_t n) {
+    run_sizes.push_back(n);
+    for (std::size_t i = 0; i < n; ++i) mirrored.push_back(p[i].seq);
+  });
   sw_.block_source(Ipv4(198, 51, 100, 1));
   std::vector<Packet> batch;
   batch.push_back(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 0));
@@ -122,16 +140,18 @@ TEST_F(SwitchBatchTest, BlockedSourceFallsBackPerPacket) {
   batch.push_back(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 2));
   sw_.receive_batch(batch.data(), batch.size());
   sim_.run_until();
-  // Blocked packet dropped at ingress: not mirrored, not forwarded.
+  // Blocked packet dropped at ingress: not mirrored, not forwarded. The
+  // others pass as runs of one, in arrival order.
   EXPECT_EQ(sw_.stats().blocked, 1u);
   EXPECT_EQ(sw_.stats().forwarded, 2u);
-  EXPECT_EQ(mirrored, 2);
+  EXPECT_EQ(mirrored, (std::vector<std::uint64_t>{0, 2}));
+  EXPECT_EQ(run_sizes, (std::vector<std::size_t>{1, 1}));
 }
 
 TEST_F(SwitchBatchTest, NoRouteCountedPerPacketWithinBatch) {
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 64);
   int delivered = 0;
-  egress.set_deliver([&](const Packet&) { ++delivered; });
+  egress.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
   std::vector<Packet> batch;
   batch.push_back(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 0));
@@ -149,8 +169,8 @@ TEST_F(SwitchBatchTest, RouteCacheHandlesAlternatingDestinations) {
   Link link_b(sim_, "b", 1e9, SimTime::zero(), 64);
   int to_a = 0;
   int to_b = 0;
-  link_a.set_deliver([&](const Packet&) { ++to_a; });
-  link_b.set_deliver([&](const Packet&) { ++to_b; });
+  link_a.set_deliver_batch(per_packet([&](const Packet&) { ++to_a; }));
+  link_b.set_deliver_batch(per_packet([&](const Packet&) { ++to_b; }));
   sw_.attach(Ipv4(10, 0, 0, 2), &link_a);
   sw_.attach(Ipv4(10, 0, 0, 3), &link_b);
   std::vector<Packet> batch;
@@ -168,7 +188,7 @@ TEST_F(SwitchBatchTest, RouteCacheHandlesAlternatingDestinations) {
 TEST_F(SwitchBatchTest, InlineHookSeesEveryBatchedPacket) {
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 64);
   int delivered = 0;
-  egress.set_deliver([&](const Packet&) { ++delivered; });
+  egress.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
   int inline_seen = 0;
   sw_.set_inline_hook(

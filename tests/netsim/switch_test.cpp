@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "netsim/network.hpp"
+#include "per_packet.hpp"
 
 namespace idseval::netsim {
 namespace {
@@ -20,12 +21,15 @@ class SwitchTest : public ::testing::Test {
  protected:
   SwitchTest() : sw_(sim_) {}
 
+  /// A lone packet arrives as a run of one.
+  void receive(const Packet& packet) { sw_.receive_batch(&packet, 1); }
+
   Simulator sim_;
   Switch sw_;
 };
 
 TEST_F(SwitchTest, NoRouteCounted) {
-  sw_.receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 9)));
+  receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 9)));
   EXPECT_EQ(sw_.stats().no_route, 1u);
   EXPECT_EQ(sw_.stats().forwarded, 0u);
 }
@@ -33,9 +37,9 @@ TEST_F(SwitchTest, NoRouteCounted) {
 TEST_F(SwitchTest, ForwardsViaAttachedEgress) {
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 8);
   int delivered = 0;
-  egress.set_deliver([&](const Packet&) { ++delivered; });
+  egress.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
-  sw_.receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
+  receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
   sim_.run_until();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(sw_.stats().forwarded, 1u);
@@ -44,9 +48,9 @@ TEST_F(SwitchTest, ForwardsViaAttachedEgress) {
 TEST_F(SwitchTest, MultipleMirrorsAllSeeEachPacket) {
   int a = 0;
   int b = 0;
-  sw_.add_mirror([&](const Packet&) { ++a; });
-  sw_.add_mirror([&](const Packet&) { ++b; });
-  sw_.receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
+  sw_.add_mirror_batch(per_packet([&](const Packet&) { ++a; }));
+  sw_.add_mirror_batch(per_packet([&](const Packet&) { ++b; }));
+  receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
   EXPECT_EQ(a, 1);
   EXPECT_EQ(b, 1);
   EXPECT_EQ(sw_.stats().mirrored, 2u);
@@ -57,9 +61,9 @@ TEST_F(SwitchTest, BlockedPacketsNotMirrored) {
   // source is invisible to the IDS too (it cannot re-alert on traffic
   // the firewall already discarded).
   int mirrored = 0;
-  sw_.add_mirror([&](const Packet&) { ++mirrored; });
+  sw_.add_mirror_batch(per_packet([&](const Packet&) { ++mirrored; }));
   sw_.block_source(Ipv4(198, 51, 100, 1));
-  sw_.receive(make(Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2)));
+  receive(make(Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2)));
   EXPECT_EQ(mirrored, 0);
   EXPECT_EQ(sw_.stats().blocked, 1u);
 }
@@ -69,17 +73,19 @@ TEST_F(SwitchTest, MirrorSeesPacketBeforeInlineDelay) {
   // forwarded copy.
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 8);
   SimTime delivered_at;
-  egress.set_deliver([&](const Packet&) { delivered_at = sim_.now(); });
+  egress.set_deliver_batch(per_packet(
+      [&](const Packet&) { delivered_at = sim_.now(); }));
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
 
   SimTime mirrored_at = SimTime::max();
-  sw_.add_mirror([&](const Packet&) { mirrored_at = sim_.now(); });
+  sw_.add_mirror_batch(per_packet(
+      [&](const Packet&) { mirrored_at = sim_.now(); }));
   sw_.set_inline_hook(
       [this](const Packet& p, std::function<void(const Packet&)> fwd) {
         sim_.schedule_in(SimTime::from_ms(5), [p, fwd] { fwd(p); });
       });
 
-  sw_.receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
+  receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
   sim_.run_until();
   EXPECT_EQ(mirrored_at, SimTime::zero());
   EXPECT_GE(delivered_at, SimTime::from_ms(5));
@@ -103,8 +109,8 @@ TEST_F(SwitchTest, InlineHookReceivesEveryNonBlockedPacket) {
         ++inline_seen;
       });
   sw_.block_source(Ipv4(198, 51, 100, 1));
-  sw_.receive(make(Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2)));  // blocked
-  sw_.receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
+  receive(make(Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2)));  // blocked
+  receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
   EXPECT_EQ(inline_seen, 1);
 }
 

@@ -25,8 +25,8 @@
 //       validate a CSV export (rectangular, finite numbers, row count)
 //
 // evaluate, rank, and campaign accept --trace FILE to write a JSONL
-// event trace of the run's pipeline telemetry; --trace-sync forces the
-// synchronous (caller-thread) writer instead of the background thread.
+// event trace of the run's pipeline telemetry (drained to disk by a
+// background writer thread).
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
@@ -176,16 +176,13 @@ std::optional<products::ProductId> product_by_name(const std::string& name) {
   return std::nullopt;
 }
 
-/// Opens the --trace sink when requested; nullptr otherwise. The
-/// background writer thread is the default; --trace-sync keeps all file
-/// I/O on the emitting thread (the two modes produce identical files at
-/// zero drops).
+/// Opens the --trace sink when requested, with a background writer
+/// thread; nullptr otherwise.
 std::unique_ptr<telemetry::TraceSink> open_trace(const Args& args) {
   const std::string path = args.opt("trace", "");
   if (path.empty()) return nullptr;
   return std::make_unique<telemetry::TraceSink>(
-      path, telemetry::TraceSink::kDefaultCapacity,
-      /*background=*/!args.has_flag("trace-sync"));
+      path, telemetry::TraceSink::kDefaultCapacity, /*background=*/true);
 }
 
 void report_trace(const telemetry::TraceSink& trace) {
@@ -837,8 +834,6 @@ int usage() {
       "           [--out DIR] [--out-html] [--trace FILE]\n"
       "  trace-check FILE                        validate a trace file\n"
       "  trace-check --csv FILE [--expect-rows N] validate a CSV export\n"
-      "--trace-sync writes trace events on the emitting thread (default\n"
-      "is a background writer thread; both produce identical files)\n"
       "--no-scan-cache turns the detection engines' payload memo off\n"
       "(same algorithm, results byte-identical to the default)\n"
       "--kill-chain runs a staged campaign (recon -> exploit -> lateral\n"
@@ -859,15 +854,15 @@ int main(int argc, char** argv) {
       {"evaluate", cmd_evaluate,
        {"product", "profile", "sensitivity", "seed", "kill-chain", "out",
         "trace"},
-       {"load-metrics", "notes", "no-scan-cache", "trace-sync"}},
+       {"load-metrics", "notes", "no-scan-cache"}},
       {"rank", cmd_rank,
        {"profile", "weights", "sensitivity", "seed", "jobs", "kill-chain",
         "trace"},
-       {"load-metrics", "robustness", "no-scan-cache", "trace-sync"}},
+       {"load-metrics", "robustness", "no-scan-cache"}},
       {"sweep", cmd_sweep, {"product", "profile", "steps", "seed"},
        {"single-pass", "no-scan-cache"}},
       {"campaign", cmd_campaign, {"spec", "jobs", "out", "trace"},
-       {"resume", "out-html", "trace-sync"}},
+       {"resume", "out-html"}},
       {"trace-check", cmd_trace_check, {"csv", "expect-rows", "file"}, {},
        1},
   };

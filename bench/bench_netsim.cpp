@@ -6,15 +6,6 @@
 //   testbed  — a full GuardSecure testbed run at 6x load; measures the
 //              whole emission/delivery/analysis path including pooled
 //              payloads.
-//   scan_cache — detection-engine hot loop over interned payloads (deep
-//              inspection + streaming reassembly + entropy), run once
-//              with the interned-payload scan cache and once with the
-//              memo off (the same algorithm re-walking every payload;
-//              reported under the "legacy" keys): isolates the memo
-//              win. Reports memo-on vs memo-off packets/sec, hit ratio,
-//              bytes saved and boundary steps (packets whose carried
-//              automaton state reached back into the flow's tail); the
-//              detection counts must match exactly (hard check).
 //   fanout   — same-tick burst trains over zero-bandwidth links, run once
 //              with delivery coalescing on and once forced off: isolates
 //              the batched-delivery win (one event per (link, tick)
@@ -29,6 +20,10 @@
 //              mirror-tap live-flow tracker keyed by packed FlowTuple.
 //              Reports flows/sec (wall), bytes per table probe, and the
 //              tracker's probes-per-lookup chain length.
+//
+// Detection-engine cost and the payload memo are measured by idsbench's
+// per-layer metrics (ids.sig_ns_per_pkt, ids.anomaly_ns_per_pkt,
+// scan_cache.hit_ratio, scan_cache.boundary_rescans), not here.
 //
 // The "baseline" constants below were measured at the commit immediately
 // before the allocation-free event core landed (std::function queue,
@@ -56,16 +51,11 @@
 #include <string>
 #include <vector>
 
-#include "attack/patterns.hpp"
 #include "attack/scenario.hpp"
 #include "harness/testbed.hpp"
-#include "ids/anomaly_engine.hpp"
-#include "ids/rules.hpp"
-#include "ids/signature_engine.hpp"
 #include "netsim/flow_tuple.hpp"
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
-#include "telemetry/registry.hpp"
 #include "products/catalog.hpp"
 #include "results/doc.hpp"
 #include "telemetry/trace.hpp"
@@ -73,6 +63,7 @@
 #include "traffic/ledger.hpp"
 #include "traffic/profile.hpp"
 #include "util/rng.hpp"
+#include "util/strfmt.hpp"
 
 using idseval::netsim::SimTime;
 using idseval::netsim::Simulator;
@@ -96,14 +87,6 @@ constexpr double kPriorTestbedPacketsPerSec = 459652.0;
 // meaningless, so the check degrades to a warning.
 constexpr double kSmokeTestbedEventsPerSecFloor =
     1.3 * kBaselineTestbedEventsPerSec;
-
-// Scan-cache smoke floor: memo-on vs memo-off packets/sec through the
-// detection engines. Warn-only by design — it is a wall-clock *ratio*
-// and compresses under sanitizers, -O0, or a noisy CI neighbour — but a
-// memoized path slower than re-walking every payload is worth a log line
-// anywhere. The byte-identity of detections is checked separately and
-// hard-fails everywhere.
-constexpr double kSmokeScanCacheSpeedupFloor = 1.5;
 
 // Megaflow smoke floor (flows created per wall second). Deliberately low:
 // the smoke run exists to catch order-of-magnitude collapses (e.g. a
@@ -218,119 +201,6 @@ TestbedResult testbed_run(double measure_sec) {
                        bed.sim().alloc_fallbacks()};
 }
 
-struct ScanCacheSide {
-  double packets_per_sec = 0.0;
-  std::uint64_t detections = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t bytes_saved = 0;
-  std::uint64_t boundary_rescans = 0;
-};
-
-struct ScanCacheResult {
-  ScanCacheSide cached;
-  ScanCacheSide legacy;
-  std::uint64_t packets = 0;
-  double speedup() const {
-    return legacy.packets_per_sec > 0.0
-               ? cached.packets_per_sec / legacy.packets_per_sec
-               : 0.0;
-  }
-  double hit_ratio() const {
-    const double total =
-        static_cast<double>(cached.hits + cached.misses);
-    return total > 0.0 ? static_cast<double>(cached.hits) / total : 0.0;
-  }
-};
-
-// Detection-engine hot loop over interned payloads: the signature engine
-// (deep inspection + stream reassembly) and the anomaly engine (Shannon
-// entropy) fed the few-variant pooled payload mix the repetitive
-// RT-cluster/ICS profiles produce. The packet ring is pre-built so the
-// wall clock measures the engines, not make_packet; the memo-on and
-// memo-off runs see the identical sequence, so the throughput delta is
-// the memo and the detection counts must be exactly equal.
-ScanCacheSide scan_cache_run(bool cache_on, std::uint64_t packets) {
-  idseval::telemetry::Registry registry;
-  idseval::telemetry::ScopedRegistry scope(&registry);
-
-  // 16 interned variants, ~0.4-1 KB: mostly low-entropy repetitive
-  // frames plus a signature-bearing payload and a boundary-straddling
-  // fragment pair — the shape PayloadPool hands the sensors.
-  const std::string traversal(idseval::attack::patterns::kDirTraversal);
-  std::vector<std::shared_ptr<const std::string>> pool;
-  idseval::util::Rng rng(20260808);
-  for (int v = 0; v < 12; ++v) {
-    std::string s(static_cast<std::size_t>(384 + 48 * v), '\0');
-    for (char& ch : s) {
-      ch = static_cast<char>(
-          'a' + rng.index(static_cast<std::size_t>(2 + v % 5)));
-    }
-    pool.push_back(std::make_shared<const std::string>(std::move(s)));
-  }
-  pool.push_back(std::make_shared<const std::string>(
-      "GET " + traversal + " HTTP/1.0 " + std::string(480, 'b')));
-  pool.push_back(
-      std::make_shared<const std::string>("GET /a" + traversal.substr(0, 7)));
-  pool.push_back(std::make_shared<const std::string>(traversal.substr(7) +
-                                                     std::string(440, 'c')));
-  pool.push_back(std::make_shared<const std::string>(std::string(512, 'd')));
-
-  idseval::ids::SignatureEngineOptions sig_opt;
-  sig_opt.stream_reassembly = true;
-  sig_opt.scan_cache = cache_on;
-  idseval::ids::SignatureEngine signature(idseval::ids::standard_rule_set(),
-                                          sig_opt);
-  idseval::ids::AnomalyEngineOptions ano_opt;
-  ano_opt.scan_cache = cache_on;
-  idseval::ids::AnomalyEngine anomaly(ano_opt);
-
-  constexpr std::size_t kRing = 1024;
-  constexpr std::uint64_t kFlows = 32;
-  std::vector<idseval::netsim::Packet> ring;
-  ring.reserve(kRing);
-  for (std::size_t i = 0; i < kRing; ++i) {
-    idseval::netsim::FiveTuple t;
-    t.src_ip = idseval::netsim::Ipv4(198, 51, 100, 1);
-    t.dst_ip = idseval::netsim::Ipv4(10, 0, 0, 2);
-    t.src_port = 4000;
-    t.dst_port = idseval::netsim::ports::kHttp;
-    const std::uint64_t flow = 1 + (i % kFlows);
-    idseval::netsim::Packet p = idseval::netsim::make_packet(
-        i, flow, SimTime::zero(), t, pool[(i * 7) % pool.size()]);
-    p.seq = static_cast<std::uint32_t>(i);
-    ring.push_back(std::move(p));
-  }
-
-  std::vector<idseval::ids::Detection> out;
-  std::uint64_t detections = 0;
-  const std::uint64_t learn = packets / 8;
-  const double t0 = now_sec();
-  for (std::uint64_t i = 0; i < packets; ++i) {
-    if (i == learn) {
-      anomaly.set_mode(idseval::ids::AnomalyEngine::Mode::kDetecting);
-    }
-    const idseval::netsim::Packet& p = ring[i % kRing];
-    const SimTime now = SimTime::from_us(static_cast<double>(i));
-    signature.process(p, now, out);
-    anomaly.process(p, now, out);
-    detections += out.size();
-    out.clear();
-  }
-  const double dt = now_sec() - t0;
-
-  namespace names = idseval::telemetry::names;
-  ScanCacheSide side;
-  side.packets_per_sec = static_cast<double>(packets) / dt;
-  side.detections = detections;
-  side.hits = registry.counter(names::kScanCacheHits).value();
-  side.misses = registry.counter(names::kScanCacheMisses).value();
-  side.bytes_saved = registry.counter(names::kScanCacheBytesSaved).value();
-  side.boundary_rescans =
-      registry.counter(names::kScanCacheBoundaryRescans).value();
-  return side;
-}
-
 struct FanoutResult {
   double packets_per_sec = 0.0;
   std::uint64_t events = 0;
@@ -407,14 +277,14 @@ MegaflowResult megaflow_run(bool smoke) {
     const idseval::netsim::Ipv4 addr(
         10, 1, static_cast<std::uint8_t>(i >> 8),
         static_cast<std::uint8_t>(i & 0xff));
-    net.add_host("h" + std::to_string(i), addr);
+    net.add_host(idseval::util::cat("h", i), addr);
     internal_hosts.push_back(addr);
   }
   for (int i = 0; i < external; ++i) {
     const idseval::netsim::Ipv4 addr(
         198, 51, static_cast<std::uint8_t>(i >> 8),
         static_cast<std::uint8_t>(i & 0xff));
-    net.add_external_host("x" + std::to_string(i), addr);
+    net.add_external_host(idseval::util::cat("x", i), addr);
     external_hosts.push_back(addr);
   }
 
@@ -507,13 +377,13 @@ ProfileSmokeResult profile_smoke_run(
   for (int i = 1; i <= 8; ++i) {
     const idseval::netsim::Ipv4 addr(10, 2, 0,
                                      static_cast<std::uint8_t>(i));
-    net.add_host("h" + std::to_string(i), addr);
+    net.add_host(idseval::util::cat("h", i), addr);
     internal_hosts.push_back(addr);
   }
   for (int i = 1; i <= 2; ++i) {
     const idseval::netsim::Ipv4 addr(198, 51, 101,
                                      static_cast<std::uint8_t>(i));
-    net.add_external_host("x" + std::to_string(i), addr);
+    net.add_external_host(idseval::util::cat("x", i), addr);
     external_hosts.push_back(addr);
   }
 
@@ -651,7 +521,7 @@ idseval::results::Doc speed_doc(double v) {
 }
 
 bool write_report(const std::string& path, const ChurnResult& churn,
-                  const TestbedResult& bed, const ScanCacheResult& scan,
+                  const TestbedResult& bed,
                   const FanoutResult& fan_on, const FanoutResult& fan_off,
                   const TraceOverheadResult& trace,
                   const MegaflowResult& mega,
@@ -709,22 +579,6 @@ bool write_report(const std::string& path, const ChurnResult& churn,
            speed_doc(static_cast<double>(fan_off.events) /
                      static_cast<double>(fan_on.events)));
   report.set("fanout", std::move(fanout));
-
-  Doc scan_cache = Doc::object();
-  scan_cache.set("packets", scan.packets)
-      .set("cached_packets_per_sec",
-           std::round(scan.cached.packets_per_sec))
-      .set("legacy_packets_per_sec",
-           std::round(scan.legacy.packets_per_sec))
-      .set("speedup", speed_doc(scan.speedup()))
-      .set("hit_ratio", speed_doc(scan.hit_ratio()))
-      .set("hits", scan.cached.hits)
-      .set("misses", scan.cached.misses)
-      .set("bytes_saved", scan.cached.bytes_saved)
-      .set("boundary_rescans", scan.cached.boundary_rescans)
-      .set("detections_identical",
-           scan.cached.detections == scan.legacy.detections);
-  report.set("scan_cache", std::move(scan_cache));
 
   Doc trace_overhead = Doc::object();
   trace_overhead.set("events", trace.events)
@@ -823,25 +677,6 @@ int main(int argc, char** argv) {
               bed.packets_per_sec, kBaselineTestbedPacketsPerSec,
               bed.packets_per_sec / kBaselineTestbedPacketsPerSec);
 
-  ScanCacheResult scan;
-  scan.packets = smoke ? 150000 : 1200000;
-  for (int i = 0; i < reps; ++i) {
-    const ScanCacheSide on = scan_cache_run(true, scan.packets);
-    if (on.packets_per_sec > scan.cached.packets_per_sec) scan.cached = on;
-    const ScanCacheSide off = scan_cache_run(false, scan.packets);
-    if (off.packets_per_sec > scan.legacy.packets_per_sec) {
-      scan.legacy = off;
-    }
-  }
-  std::printf("scancache:%11.0f packets/sec cached, %.0f legacy "
-              "(%.2fx, hit ratio %.3f, %.1f MB saved, %llu boundary "
-              "rescans)\n",
-              scan.cached.packets_per_sec, scan.legacy.packets_per_sec,
-              scan.speedup(), scan.hit_ratio(),
-              static_cast<double>(scan.cached.bytes_saved) / 1048576.0,
-              static_cast<unsigned long long>(
-                  scan.cached.boundary_rescans));
-
   const int bursts = smoke ? 50 : 400;
   const std::uint32_t burst_size = 64;
   FanoutResult fan_on;
@@ -904,7 +739,7 @@ int main(int argc, char** argv) {
   std::printf("callback heap fallbacks: %llu\n",
               static_cast<unsigned long long>(fallbacks));
 
-  if (!write_report(out, churn, bed, scan, fan_on, fan_off, trace, mega,
+  if (!write_report(out, churn, bed, fan_on, fan_off, trace, mega,
                     profiles, smoke)) {
     return 1;
   }
@@ -924,27 +759,6 @@ int main(int argc, char** argv) {
                  "bench_netsim: warning — background writer producer "
                  "time %.6fs exceeds sync %.6fs\n",
                  trace.background_producer_sec, trace.sync_producer_sec);
-  }
-
-  // The scan cache must be a pure optimization: identical packet
-  // sequences through memo-on and memo-off engines produce identical
-  // detection counts deterministically, so a mismatch hard-fails on any
-  // build. The speedup floor below is a wall-clock ratio and stays
-  // warn-only (see kSmokeScanCacheSpeedupFloor).
-  if (scan.cached.detections != scan.legacy.detections) {
-    std::fprintf(stderr,
-                 "bench_netsim: FAIL — scan cache changed detections "
-                 "(%llu cached vs %llu legacy)\n",
-                 static_cast<unsigned long long>(scan.cached.detections),
-                 static_cast<unsigned long long>(scan.legacy.detections));
-    return 1;
-  }
-  if (scan.speedup() < kSmokeScanCacheSpeedupFloor) {
-    std::fprintf(stderr,
-                 "bench_netsim: warning — scan cache speedup %.2fx below "
-                 "the %.1fx floor (warn-only: wall-clock ratio, "
-                 "compresses on unoptimized/sanitized builds)\n",
-                 scan.speedup(), kSmokeScanCacheSpeedupFloor);
   }
 
   // Smoke-mode regression floor for CI: a real throughput collapse shows

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "ids/scan_cache.hpp"
 #include "util/strfmt.hpp"
 
 namespace idseval::harness {
@@ -111,22 +110,8 @@ void Testbed::build() {
 
   // Product under test.
   if (model_ != nullptr) {
-    ids::PipelineConfig pipeline_config = model_->make_config(sensitivity_);
-    pipeline_config.sensor.scan_cache = config_.scan_cache;
-    pipeline_config.agent_sensor.scan_cache = config_.scan_cache;
-    // Payload growth mints extra variants; raise the engines' scan-memo
-    // capacity by the growth bound so grown variants stay cached instead
-    // of being re-walked on every packet. Zero headroom (every existing
-    // profile) leaves the memos at their default capacity.
-    if (const std::size_t headroom = payload_pool_->growth_headroom();
-        headroom > 0) {
-      const std::size_t cap =
-          ids::PayloadMemo<double>::kDefaultCapacity + headroom;
-      pipeline_config.sensor.scan_cache_capacity = cap;
-      pipeline_config.agent_sensor.scan_cache_capacity = cap;
-    }
-    pipeline_ = std::make_unique<ids::Pipeline>(sim_, *net_,
-                                                std::move(pipeline_config));
+    pipeline_ = std::make_unique<ids::Pipeline>(
+        sim_, *net_, model_->make_config(sensitivity_));
     pipeline_->attach(model_->deploys_host_agents ? internal_
                                                   : std::vector<Ipv4>{});
   }

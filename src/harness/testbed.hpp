@@ -47,11 +47,6 @@ struct TestbedConfig {
   /// throws std::invalid_argument from the Testbed constructor, so a
   /// caller still asking for shards fails loudly, not silently.
   std::size_t shards = 1;
-  /// Interned-payload scan cache in the detection engines: false
-  /// (--no-scan-cache) turns the payload memo off for the same
-  /// algorithm. Results are byte-identical either way; only wall-clock
-  /// changes.
-  bool scan_cache = true;
   std::uint64_t seed = 42;
   netsim::SimTime warmup = netsim::SimTime::from_sec(20);   ///< Learning.
   netsim::SimTime measure = netsim::SimTime::from_sec(60);  ///< Scoring.

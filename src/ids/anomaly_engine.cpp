@@ -39,9 +39,7 @@ bool AnomalyEngine::is_internal(Ipv4 addr) const noexcept {
 }
 
 double AnomalyEngine::cached_entropy(const Packet& packet) {
-  if (!options_.scan_cache || packet.payload == nullptr) {
-    return payload_entropy(packet.payload_view());
-  }
+  if (packet.payload == nullptr) return payload_entropy(packet.payload_view());
   if (const double* cached = entropy_memo_.find(packet.payload)) {
     entropy_memo_.credit_saved(packet.payload->size());
     return *cached;

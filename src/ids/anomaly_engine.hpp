@@ -43,11 +43,6 @@ struct AnomalyEngineOptions {
   /// Distinct-port fanout per source that is considered pathological even
   /// without a learned baseline.
   double fanout_window_sec = 5.0;
-  /// Interned-payload entropy memo (ids/scan_cache.hpp): repeated pooled
-  /// payloads cost one table hit instead of an O(bytes) histogram pass.
-  /// Entropy values are bit-identical cached or recomputed, so results
-  /// never change; off replays the exact legacy per-packet computation.
-  bool scan_cache = true;
 };
 
 class AnomalyEngine {
@@ -60,17 +55,6 @@ class AnomalyEngine {
   Mode mode() const noexcept { return mode_; }
   void set_sensitivity(double s) noexcept { options_.sensitivity = s; }
   double sensitivity() const noexcept { return options_.sensitivity; }
-  void set_scan_cache(bool on) noexcept { options_.scan_cache = on; }
-  bool scan_cache() const noexcept { return options_.scan_cache; }
-  /// Raises the memo's capacity ceiling (never lowers): adaptive
-  /// PayloadPool growth mints variants past the default population.
-  void reserve_scan_cache(std::size_t capacity) noexcept {
-    entropy_memo_.reserve_capacity(capacity);
-  }
-  /// Entropy-memo traffic (hits/misses/bytes_saved) for benches/tests.
-  const ScanCacheStats& scan_cache_stats() const noexcept {
-    return entropy_memo_.stats();
-  }
 
   /// Attaches a pre-gate evidence observer (nullptr detaches). Purely
   /// observational: detection output is identical either way.
@@ -112,7 +96,7 @@ class AnomalyEngine {
 
   bool is_internal(netsim::Ipv4 addr) const noexcept;
   /// payload_entropy through the interned-payload memo (straight
-  /// recomputation when the cache is off or the payload is unpooled).
+  /// recomputation when the payload is absent or the memo full).
   double cached_entropy(const netsim::Packet& packet);
   Detection make_detection(const netsim::Packet& packet, netsim::SimTime now,
                            const std::string& feature, double zscore,
@@ -133,6 +117,9 @@ class AnomalyEngine {
   /// aliasing failure the old packing had).
   netsim::FlowTupleSet peer_pairs_;
   netsim::FlowTupleSet service_triples_;
+  /// Interned-payload entropy memo (ids/scan_cache.hpp): a repeated
+  /// pooled payload costs one table hit instead of an O(bytes)
+  /// histogram pass, with a bit-identical value.
   PayloadMemo<double> entropy_memo_;
   FiredSet fired_;
 };

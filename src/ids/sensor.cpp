@@ -45,18 +45,10 @@ Sensor::Sensor(netsim::Simulator& sim, SensorConfig config)
 
 void Sensor::set_signature_engine(std::unique_ptr<SignatureEngine> engine) {
   signature_ = std::move(engine);
-  if (signature_) {
-    signature_->set_scan_cache(config_.scan_cache);
-    signature_->reserve_scan_cache(config_.scan_cache_capacity);
-  }
 }
 
 void Sensor::set_anomaly_engine(std::unique_ptr<AnomalyEngine> engine) {
   anomaly_ = std::move(engine);
-  if (anomaly_) {
-    anomaly_->set_scan_cache(config_.scan_cache);
-    anomaly_->reserve_scan_cache(config_.scan_cache_capacity);
-  }
 }
 
 void Sensor::set_sensitivity(double s) noexcept {

@@ -50,17 +50,6 @@ struct SensorConfig {
   RecoveryPolicy recovery = RecoveryPolicy::kAppRestart;
   netsim::SimTime reboot_delay = netsim::SimTime::from_sec(45);
   netsim::SimTime restart_delay = netsim::SimTime::from_sec(2);
-  /// Interned-payload scan cache (ids/scan_cache.hpp) force-off switch:
-  /// applied to every engine attached to this sensor. False
-  /// (--no-scan-cache) turns the payload memo off for the same
-  /// algorithm, so detection output and the golden determinism hash are
-  /// byte-identical either way.
-  bool scan_cache = true;
-  /// Raises each attached engine's scan-memo capacity ceiling above the
-  /// PayloadMemo default (0 = leave the default). The harness sets it to
-  /// default + PayloadPool::growth_headroom() when adaptive variant
-  /// growth is enabled, so grown variants stay cached.
-  std::size_t scan_cache_capacity = 0;
   /// When set (e.g. "sensor.0"), the sensor additionally bumps
   /// per-instance stage counters/latencies ("sensor.0.offered", ...)
   /// beside the aggregate sensor.* names, so overload profiles can

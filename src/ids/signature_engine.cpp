@@ -151,9 +151,7 @@ void SignatureEngine::scan_payload(std::string_view payload,
 const SignatureEngine::PayloadScan& SignatureEngine::fill_scan(
     const std::shared_ptr<const std::string>& payload) {
   scan_payload(*payload, scratch_scan_);
-  const PayloadScan* stored =
-      options_.scan_cache ? payload_memo_.store(payload, scratch_scan_)
-                          : nullptr;
+  const PayloadScan* stored = payload_memo_.store(payload, scratch_scan_);
   return stored != nullptr ? *stored : scratch_scan_;
 }
 
@@ -225,10 +223,9 @@ const std::vector<std::size_t>& SignatureEngine::stream_hits(
 void SignatureEngine::check_patterns(const Packet& packet, SimTime now,
                                      double min_conf,
                                      std::vector<Detection>& out) {
-  // One algorithm whether or not the memo is on: the memo only saves
-  // re-walking payloads it has seen.
-  const PayloadScan* memoized =
-      options_.scan_cache ? payload_memo_.find(packet.payload) : nullptr;
+  // One algorithm whether or not the payload is memoized: the memo only
+  // saves re-walking payloads it has seen.
+  const PayloadScan* memoized = payload_memo_.find(packet.payload);
   if (memoized != nullptr) payload_memo_.credit_saved(packet.payload_bytes());
   const PayloadScan& scan =
       memoized != nullptr ? *memoized : fill_scan(packet.payload);

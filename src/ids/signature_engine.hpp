@@ -45,12 +45,6 @@ struct SignatureEngineOptions {
   /// packet's hits are those of a scan over the stream's last
   /// reassembly_tail_bytes joined with the payload. Clamped to 64.
   std::size_t reassembly_tail_bytes = 64;
-  /// Interned-payload scan cache (ids/scan_cache.hpp): memoize each
-  /// pooled payload's automaton walk (hit ids, end state, matches near
-  /// its end). Off recomputes the walk for every packet through the same
-  /// algorithm, so detection output and the golden determinism hash are
-  /// identical on or off; only wall-clock time changes.
-  bool scan_cache = true;
 };
 
 class SignatureEngine {
@@ -65,17 +59,6 @@ class SignatureEngine {
   void set_sensitivity(double s) noexcept { options_.sensitivity = s; }
   double sensitivity() const noexcept { return options_.sensitivity; }
   bool deep_inspection() const noexcept { return options_.deep_inspection; }
-  void set_scan_cache(bool on) noexcept { options_.scan_cache = on; }
-  bool scan_cache() const noexcept { return options_.scan_cache; }
-  /// Raises the memo's capacity ceiling (never lowers): adaptive
-  /// PayloadPool growth mints variants past the default population.
-  void reserve_scan_cache(std::size_t capacity) noexcept {
-    payload_memo_.reserve_capacity(capacity);
-  }
-  /// Memo traffic (hits/misses/bytes_saved) for benches and tests.
-  const ScanCacheStats& scan_cache_stats() const noexcept {
-    return payload_memo_.stats();
-  }
 
   /// Attaches a pre-gate evidence observer (nullptr detaches). Purely
   /// observational: detection output is identical either way.
@@ -137,7 +120,7 @@ class SignatureEngine {
   /// Walks `payload` from the root into `scan`.
   void scan_payload(std::string_view payload, PayloadScan& scan);
   /// Walks a payload the memo lacks; returns the memoized copy, or
-  /// scratch_scan_ when the memo is off or full.
+  /// scratch_scan_ when the memo is full.
   const PayloadScan& fill_scan(
       const std::shared_ptr<const std::string>& payload);
   /// The pattern ids find_set(tail || payload) would report for this
@@ -165,8 +148,10 @@ class SignatureEngine {
   util::FlowTable<std::uint64_t, RateWindow> rate_by_flow_;
   util::FlowTable<std::uint64_t, StreamState> stream_state_;
   util::FlowTable<std::uint64_t, std::vector<TailHit>> stream_tail_hits_;
+  /// Interned-payload memo (ids/scan_cache.hpp) of each pooled
+  /// payload's automaton walk: hit ids, end state, matches near its end.
   PayloadMemo<PayloadScan> payload_memo_;
-  PayloadScan scratch_scan_;  ///< Memo off or at capacity.
+  PayloadScan scratch_scan_;  ///< Memo at capacity.
   std::vector<std::uint8_t> seen_;  ///< Per-pattern scratch for walks.
   std::vector<std::size_t> hits_;   ///< Reused per-packet hit union.
   telemetry::Counter* boundary_rescans_;

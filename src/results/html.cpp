@@ -121,23 +121,25 @@ std::string table_to_html(const Doc& table) {
 
 std::string table_to_markdown(const Doc& table) {
   const TableShape shape = parse_table(table, "table_to_markdown");
-  // Markdown pipe-table cells cannot hold a literal pipe.
-  const auto md_cell = [](std::string text) {
-    std::string out;
-    out.reserve(text.size());
+  std::string out;
+  // Appends one cell's text. Markdown pipe-table cells cannot hold a
+  // literal pipe.
+  const auto append_cell = [&out](std::string_view text) {
     for (const char c : text) {
       if (c == '|') out += "\\|";
       else out += c;
     }
-    return out;
   };
-  std::string out;
   if (shape.title != nullptr) {
-    out += "**" + md_cell(shape.title->as_string()) + "**\n\n";
+    out += "**";
+    append_cell(shape.title->as_string());
+    out += "**\n\n";
   }
   out += "|";
   for (const std::string& name : shape.names) {
-    out += " " + md_cell(name) + " |";
+    out += ' ';
+    append_cell(name);
+    out += " |";
   }
   out += "\n|";
   for (const bool right : shape.right) {
@@ -148,7 +150,9 @@ std::string table_to_markdown(const Doc& table) {
     if (is_rule_row(row)) continue;
     out += "|";
     for (const Doc& cell : row.elements()) {
-      out += " " + md_cell(cell_text(cell)) + " |";
+      out += ' ';
+      append_cell(cell_text(cell));
+      out += " |";
     }
     out += "\n";
   }

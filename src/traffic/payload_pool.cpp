@@ -19,14 +19,6 @@ void PayloadPool::enable_growth(PayloadKind kind,
   if (max_variants > variants_) growth_[kind] = max_variants;
 }
 
-std::size_t PayloadPool::growth_headroom() const noexcept {
-  std::size_t headroom = 0;
-  for (const auto& [kind, limit] : growth_) {
-    headroom += (limit - variants_) * kGrownBucketsPerKind;
-  }
-  return headroom;
-}
-
 std::size_t PayloadPool::bucket_len(std::size_t target_len) noexcept {
   target_len = std::clamp(target_len, kMinLen, kMaxLen);
   // Round to the NEAREST granule, not up: quantization error is then

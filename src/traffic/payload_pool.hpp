@@ -72,14 +72,6 @@ class PayloadPool {
   /// handout sequence relative to a non-growing pool.
   void enable_growth(PayloadKind kind, std::size_t max_variants);
 
-  /// Upper bound on extra variants growth may mint beyond the base cycle,
-  /// summed over enabled kinds. Near-constant payload sizes confine each
-  /// grown kind to a handful of length buckets, so the bound assumes at
-  /// most kGrownBucketsPerKind buckets per kind. Engines pre-size their
-  /// interned-payload scan memos by this amount (ids::PayloadMemo), so
-  /// freshly minted variants never overflow into uncached full scans.
-  std::size_t growth_headroom() const noexcept;
-
   /// Variants actually minted beyond the base cycle so far.
   std::size_t grown_variants() const noexcept { return grown_; }
 
@@ -94,10 +86,6 @@ class PayloadPool {
   static constexpr std::size_t kLengthGranularity = 32;
   static constexpr std::size_t kMinLen = 16;
   static constexpr std::size_t kMaxLen = 1400;
-  /// Length buckets a growable kind is assumed to span (see
-  /// growth_headroom): grown kinds have near-constant payload sizes, so
-  /// jitter reaches at most a couple of granules around the mean.
-  static constexpr std::size_t kGrownBucketsPerKind = 4;
   /// Default growth ceiling for low-entropy kinds (the harness's choice):
   /// 8× the base cycle keeps entropy estimates honest without unbounded
   /// memory.

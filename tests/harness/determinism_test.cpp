@@ -132,12 +132,10 @@ void hash_result(StreamHash& sh, const RunResult& r) {
 
 struct GoldenOptions {
   bool coalesce_delivery = true;
-  bool scan_cache = true;
 };
 
 std::uint64_t golden_run_hash(GoldenOptions opt = {}) {
   TestbedConfig cfg = golden_config();
-  cfg.scan_cache = opt.scan_cache;
   const auto& model = products::product(products::ProductId::kGuardSecure);
   Testbed bed(cfg, &model, 0.5);
   bed.net().set_delivery_coalescing(opt.coalesce_delivery);
@@ -164,14 +162,6 @@ TEST(DeterminismTest, GoldenRunMatchesStoredHash) {
 
 TEST(DeterminismTest, BackToBackRunsAreIdentical) {
   EXPECT_EQ(golden_run_hash(), golden_run_hash());
-}
-
-TEST(DeterminismTest, ScanCacheOffReproducesTheGoldenHash) {
-  // The interned-payload scan cache must be an optimization, not a
-  // behavior change: replaying the legacy full-rescan path (entropy per
-  // packet, full tail||payload automaton scans) produces the exact same
-  // bytes as the memoized + boundary-limited path the default uses.
-  EXPECT_EQ(golden_run_hash({.scan_cache = false}), kGoldenHash);
 }
 
 TEST(DeterminismTest, CoalescingOffReproducesTheGoldenHash) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ids/scan_cache.hpp"
+#include "telemetry/registry.hpp"
+
 namespace idseval::harness {
 namespace {
 
@@ -150,6 +153,35 @@ TEST(TestbedTest, RejectsShardsOtherThanOne) {
   EXPECT_THROW(Testbed(env, nullptr, 0.5), std::invalid_argument);
   env.shards = 0;
   EXPECT_THROW(Testbed(env, nullptr, 0.5), std::invalid_argument);
+}
+
+TEST(TestbedTest, PayloadMemoHoldsTheLargestDetectionRunPopulations) {
+  // SentryNID has one sensor with one engine, so its run's scan_cache
+  // misses are the first sightings of distinct payloads plus one per
+  // packet whose payload the full memo refused to store. Misses at or
+  // below the capacity therefore mean that no store was refused. The
+  // default detection runs on ecommerce and office each see more than
+  // 4096 distinct payloads.
+  const auto& model = products::product(products::ProductId::kSentryNid);
+  for (const char* profile : {"ecommerce", "office"}) {
+    SCOPED_TRACE(profile);
+    TestbedConfig env;
+    env.profile = traffic::profile_by_name(profile);
+    telemetry::Registry registry;
+    {
+      telemetry::ScopedRegistry scope(&registry);
+      Testbed bed(env, &model, 0.5);
+      (void)bed.run(attack::Scenario::mixed(
+          3, SimTime::zero(), env.measure * 0.9,
+          util::hash64("evaluate") ^ env.seed, env.external_hosts,
+          env.internal_hosts));
+    }
+    const telemetry::Counter* misses =
+        registry.find_counter(telemetry::names::kScanCacheMisses);
+    ASSERT_NE(misses, nullptr);
+    EXPECT_GT(misses->value(), 4096u);
+    EXPECT_LE(misses->value(), ids::PayloadMemo<double>::kCapacity);
+  }
 }
 
 }  // namespace

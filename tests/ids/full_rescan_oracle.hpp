@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "ids/signature_engine.hpp"
+#include "telemetry/registry.hpp"
 
 namespace idseval::ids::oracle {
 
@@ -145,45 +146,50 @@ struct ReplaySide {
   std::vector<std::size_t> per_packet;
 };
 
-/// Feeds the same packets to the production engine with the scan memo on
-/// and off and to the oracle.
+/// Feeds the same packets to the production engine and to the oracle.
+/// The engine is built under its own telemetry registry, so its memo
+/// traffic is readable through counter().
 class OracleReplay {
  public:
   OracleReplay(const RuleSet& rules, SignatureEngineOptions options)
-      : cached_engine(rules, with_cache(options, true)),
-        uncached_engine(rules, with_cache(options, false)),
+      : engine(scoped_engine(registry, rules, options)),
         oracle(rules, options) {
-    cached_engine.set_evidence_sink(&cached.sink);
-    uncached_engine.set_evidence_sink(&uncached.sink);
+    engine.set_evidence_sink(&actual.sink);
     oracle.set_evidence_sink(&reference.sink);
   }
 
   void feed(const netsim::Packet& packet, netsim::SimTime now) {
-    run(cached_engine, cached, packet, now);
-    run(uncached_engine, uncached, packet, now);
+    run(engine, actual, packet, now);
     run(oracle, reference, packet, now);
     oracle_hits.push_back(oracle.last_hits());
   }
 
   void reset_state() {
-    cached_engine.reset_state();
-    uncached_engine.reset_state();
+    engine.reset_state();
     oracle.reset_state();
   }
 
-  SignatureEngine cached_engine;
-  SignatureEngine uncached_engine;
+  /// The engine's value of a telemetry counter ("scan_cache.hits", ...).
+  std::uint64_t counter(std::string_view name) const {
+    const telemetry::Counter* c = registry.find_counter(name);
+    return c == nullptr ? 0 : c->value();
+  }
+
+  /// The engine's instruments; declared first, since the engine binds
+  /// its counters while it is constructed.
+  telemetry::Registry registry;
+  SignatureEngine engine;
   FullRescanOracle oracle;
-  ReplaySide cached;
-  ReplaySide uncached;
+  ReplaySide actual;
   ReplaySide reference;
   std::vector<std::vector<std::size_t>> oracle_hits;  ///< Per packet.
 
  private:
-  static SignatureEngineOptions with_cache(SignatureEngineOptions options,
-                                           bool on) {
-    options.scan_cache = on;
-    return options;
+  static SignatureEngine scoped_engine(telemetry::Registry& registry,
+                                       const RuleSet& rules,
+                                       SignatureEngineOptions options) {
+    telemetry::ScopedRegistry scope(&registry);
+    return SignatureEngine(rules, options);
   }
   template <class Engine>
   static void run(Engine& engine, ReplaySide& side,

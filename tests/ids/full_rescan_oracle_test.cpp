@@ -1,14 +1,16 @@
 // The streaming signature engine against the naive full-rescan oracle
 // (full_rescan_oracle.hpp) on randomized split streams. Per-packet hit
-// lists, detections and pre-gate evidence must be identical, with the
-// payload memo on and off. The streams cover payloads shorter than L-1,
-// between L-1 and 64 bytes and longer than 64 (L = longest pattern),
-// overlapping NOP-sled matches, a pattern longer than the 64 byte window
-// (the depth clamp), a rule set of more than 64 patterns, a narrower
-// window, reset_state() mid-stream and a memo at capacity.
+// lists, detections and pre-gate evidence must be identical, whether a
+// payload's walk is memoized or fresh. The streams cover payloads
+// shorter than L-1, between L-1 and 64 bytes and longer than 64 (L =
+// longest pattern), overlapping NOP-sled matches, a pattern longer than
+// the 64 byte window (the depth clamp), a rule set of more than 64
+// patterns, a narrower window, reset_state() mid-stream and more
+// distinct payloads than the memo holds.
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +19,9 @@
 #include "full_rescan_oracle.hpp"
 #include "ids/scan_cache.hpp"
 #include "ids/signature_engine.hpp"
+#include "telemetry/registry.hpp"
 #include "util/rng.hpp"
+#include "util/strfmt.hpp"
 
 namespace idseval::ids {
 namespace {
@@ -30,6 +34,9 @@ using oracle::detection_keys;
 using oracle::OracleReplay;
 
 using PayloadRef = std::shared_ptr<const std::string>;
+
+constexpr std::string_view kHits = telemetry::names::kScanCacheHits;
+constexpr std::string_view kMisses = telemetry::names::kScanCacheMisses;
 
 PayloadRef intern(std::string s) {
   return std::make_shared<const std::string>(std::move(s));
@@ -56,7 +63,7 @@ RuleSet identifying_rules(const std::vector<std::string>& patterns) {
   RuleSet rules;
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     rules.patterns.push_back(PatternRule{
-        "p" + std::to_string(i), patterns[i], std::nullopt, std::nullopt, 3,
+        util::cat("p", i), patterns[i], std::nullopt, std::nullopt, 3,
         0.30 + 0.005 * static_cast<double>(i)});
   }
   return rules;
@@ -200,21 +207,16 @@ std::vector<std::vector<std::size_t>> hits_per_packet(
 
 void expect_matches_oracle(const ScenarioRun& run) {
   const OracleReplay& r = *run.replay;
-  for (const oracle::ReplaySide* side : {&r.cached, &r.uncached}) {
-    const char* which = side == &r.cached ? "memo on" : "memo off";
-    EXPECT_EQ(side->per_packet, r.reference.per_packet) << which;
-    EXPECT_EQ(side->sink.observations, r.reference.sink.observations)
-        << which;
-    EXPECT_EQ(detection_keys(side->detections),
-              detection_keys(r.reference.detections))
-        << which;
-    const auto hits = hits_per_packet(run.rules, *side);
-    ASSERT_EQ(hits.size(), r.oracle_hits.size()) << which;
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      if (hits[i] != r.oracle_hits[i]) {
-        ADD_FAILURE() << which << ": hit list differs at packet " << i;
-        break;
-      }
+  EXPECT_EQ(r.actual.per_packet, r.reference.per_packet);
+  EXPECT_EQ(r.actual.sink.observations, r.reference.sink.observations);
+  EXPECT_EQ(detection_keys(r.actual.detections),
+            detection_keys(r.reference.detections));
+  const auto hits = hits_per_packet(run.rules, r.actual);
+  ASSERT_EQ(hits.size(), r.oracle_hits.size());
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    if (hits[i] != r.oracle_hits[i]) {
+      ADD_FAILURE() << "hit list differs at packet " << i;
+      break;
     }
   }
 }
@@ -257,7 +259,7 @@ TEST(FullRescanOracleTest, MixedLengthsAndNopSledsMatchOracle) {
     if (std::find(hits.begin(), hits.end(), 1u) != hits.end()) ++nop_packets;
   }
   EXPECT_GT(nop_packets, 100u);
-  EXPECT_GT(run.replay->cached_engine.scan_cache_stats().hits, 1000u);
+  EXPECT_GT(run.replay->counter(kHits), 1000u);
 }
 
 TEST(FullRescanOracleTest, PatternLongerThanTheWindowIsClampedLikeTheOracle) {
@@ -282,10 +284,7 @@ TEST(FullRescanOracleTest, PatternLongerThanTheWindowIsClampedLikeTheOracle) {
     EXPECT_EQ(std::find(hits.begin(), hits.end(), long_id) != hits.end(),
               fires)
         << "cut " << cut;
-    EXPECT_EQ(replay.cached.sink.observations,
-              replay.reference.sink.observations)
-        << "cut " << cut;
-    EXPECT_EQ(replay.uncached.sink.observations,
+    EXPECT_EQ(replay.actual.sink.observations,
               replay.reference.sink.observations)
         << "cut " << cut;
   }
@@ -364,14 +363,14 @@ TEST(FullRescanOracleTest, NonReassemblingEngineMatchesOracle) {
 }
 
 TEST(FullRescanOracleTest, MemoAtCapacityMatchesOracle) {
-  // Fill the memo with distinct payloads, then keep streaming payloads it
-  // can no longer store: those take the uncached walk on every packet
-  // and must still agree with the oracle, boundary state included.
+  // Feed more distinct payloads than the memo holds, then keep streaming
+  // payloads it can no longer store: those take a fresh walk on every
+  // packet and must still agree with the oracle, boundary state included.
   const std::vector<std::string> patterns = mixed_patterns();
   const RuleSet rules = identifying_rules(patterns);
   OracleReplay replay(rules, reassembling());
   StreamGen gen(patterns, "ab\x90" "c/", 17);
-  const std::size_t capacity = PayloadMemo<int>::kDefaultCapacity;
+  const std::size_t capacity = PayloadMemo<int>::kCapacity;
   std::vector<PayloadRef> stored;
   std::vector<PayloadRef> overflow;
   for (std::size_t i = 0; i < capacity + 200; ++i) {
@@ -389,17 +388,12 @@ TEST(FullRescanOracleTest, MemoAtCapacityMatchesOracle) {
   for (const PayloadRef& ref : overflow) feed(ref);  // still not stored
   for (std::size_t i = 0; i < 200; ++i) feed(stored[i]);
 
-  const ScanCacheStats& stats = replay.cached_engine.scan_cache_stats();
-  EXPECT_EQ(stats.misses, capacity + 400);
-  EXPECT_EQ(stats.hits, 200u);
-  EXPECT_EQ(replay.cached.per_packet, replay.reference.per_packet);
-  EXPECT_EQ(replay.cached.sink.observations,
+  EXPECT_EQ(replay.counter(kMisses), capacity + 400);
+  EXPECT_EQ(replay.counter(kHits), 200u);
+  EXPECT_EQ(replay.actual.per_packet, replay.reference.per_packet);
+  EXPECT_EQ(replay.actual.sink.observations,
             replay.reference.sink.observations);
-  EXPECT_EQ(detection_keys(replay.cached.detections),
-            detection_keys(replay.reference.detections));
-  EXPECT_EQ(replay.uncached.sink.observations,
-            replay.reference.sink.observations);
-  EXPECT_EQ(detection_keys(replay.uncached.detections),
+  EXPECT_EQ(detection_keys(replay.actual.detections),
             detection_keys(replay.reference.detections));
 }
 

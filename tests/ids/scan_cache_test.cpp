@@ -1,14 +1,16 @@
 // Interned-payload scan cache (ids/scan_cache.hpp): the memo must be a
 // pure optimization — detections AND pre-gate evidence byte-identical
-// with the cache on or off — while actually short-circuiting repeated
-// payload scans. Covers the PayloadMemo container (pinning, capacity),
-// the entropy memo in the anomaly engine, and the signature engine's
-// memoized walks, which with the memo on and off must equal the naive
+// to a fresh computation per packet — while actually short-circuiting
+// repeated payload scans. Covers the PayloadMemo container (pinning,
+// capacity, telemetry), the entropy memo in the anomaly engine (against
+// fresh payload_entropy calls, also past the memo's capacity), and the
+// signature engine's memoized walks, which must equal the naive
 // full-rescan oracle (a pattern straddling the packet boundary plus the
 // same pattern fully inside the payload deduplicate exactly as the full
 // rescan of tail || payload does).
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "ids/anomaly_engine.hpp"
 #include "ids/scan_cache.hpp"
 #include "ids/signature_engine.hpp"
+#include "telemetry/registry.hpp"
 #include "util/rng.hpp"
 
 namespace idseval::ids {
@@ -29,6 +32,14 @@ using netsim::Packet;
 using netsim::SimTime;
 
 using PayloadRef = std::shared_ptr<const std::string>;
+
+namespace names = telemetry::names;
+
+std::uint64_t counter(const telemetry::Registry& registry,
+                      std::string_view name) {
+  const telemetry::Counter* c = registry.find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
 
 PayloadRef intern(std::string s) {
   return std::make_shared<const std::string>(std::move(s));
@@ -67,10 +78,12 @@ void expect_same_detections(const std::vector<Detection>& a,
 // --- PayloadMemo container ------------------------------------------------
 
 TEST(ScanCacheTest, MemoStoresFindsAndCounts) {
+  telemetry::Registry registry;
+  telemetry::ScopedRegistry scope(&registry);
   PayloadMemo<int> memo;
   const PayloadRef p = intern("hello");
   EXPECT_EQ(memo.find(p), nullptr);  // miss
-  EXPECT_EQ(memo.stats().misses, 1u);
+  EXPECT_EQ(counter(registry, names::kScanCacheMisses), 1u);
 
   const int* stored = memo.store(p, 42);
   ASSERT_NE(stored, nullptr);
@@ -78,83 +91,102 @@ TEST(ScanCacheTest, MemoStoresFindsAndCounts) {
   const int* hit = memo.find(p);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, 42);
-  EXPECT_EQ(memo.stats().hits, 1u);
+  EXPECT_EQ(counter(registry, names::kScanCacheHits), 1u);
 
   memo.credit_saved(p->size());
-  EXPECT_EQ(memo.stats().bytes_saved, 5u);
-  EXPECT_DOUBLE_EQ(memo.stats().hit_ratio(), 0.5);
+  EXPECT_EQ(counter(registry, names::kScanCacheBytesSaved), 5u);
+  EXPECT_EQ(counter(registry, names::kScanCacheMisses), 1u);
 }
 
 TEST(ScanCacheTest, MemoPinsThePayloadAgainstAddressReuse) {
   // The entry must keep the string alive: if the caller drops its ref,
   // the allocator could otherwise hand the same address to a different
   // payload and a later lookup would return stale results.
-  PayloadMemo<int> memo;
-  PayloadRef p = intern("pinned");
-  const long before = p.use_count();
-  memo.store(p, 7);
-  EXPECT_EQ(p.use_count(), before + 1);
-  const std::string* raw = p.get();
-  p.reset();  // memo's pin must keep the string alive
-  EXPECT_EQ(*raw, "pinned");
-  memo.clear();  // releases the pin
-  EXPECT_EQ(memo.size(), 0u);
+  std::weak_ptr<const std::string> watch;
+  {
+    PayloadMemo<int> memo;
+    PayloadRef p = intern("pinned");
+    watch = p;
+    const long before = p.use_count();
+    memo.store(p, 7);
+    EXPECT_EQ(p.use_count(), before + 1);
+    p.reset();  // memo's pin must keep the string alive
+    ASSERT_FALSE(watch.expired());
+    EXPECT_EQ(*watch.lock(), "pinned");
+  }
+  EXPECT_TRUE(watch.expired());  // the memo released its pin
 }
 
 TEST(ScanCacheTest, MemoCapacityBoundsPopulation) {
-  PayloadMemo<int> memo(/*capacity=*/2);
-  const PayloadRef a = intern("a");
-  const PayloadRef b = intern("b");
-  const PayloadRef c = intern("c");
-  EXPECT_NE(memo.store(a, 1), nullptr);
-  EXPECT_NE(memo.store(b, 2), nullptr);
-  EXPECT_EQ(memo.store(c, 3), nullptr);  // full: scanned uncached forever
-  EXPECT_EQ(memo.size(), 2u);
-  EXPECT_EQ(memo.find(c), nullptr);
-  ASSERT_NE(memo.find(a), nullptr);  // earlier entries unaffected
-}
-
-TEST(ScanCacheTest, ReserveCapacityRaisesButNeverLowers) {
-  // Adaptive PayloadPool growth raises the memo ceiling by its headroom;
-  // the raise must be monotonic — entries are already pinned, so a lower
-  // request is refused rather than evicting.
-  PayloadMemo<int> memo(/*capacity=*/2);
-  EXPECT_EQ(memo.capacity(), 2u);
-  memo.reserve_capacity(1);
-  EXPECT_EQ(memo.capacity(), 2u);
-  memo.reserve_capacity(4);
-  EXPECT_EQ(memo.capacity(), 4u);
-
-  const PayloadRef a = intern("ra");
-  const PayloadRef b = intern("rb");
-  const PayloadRef c = intern("rc");
-  const PayloadRef d = intern("rd");
-  const PayloadRef e = intern("re");
-  EXPECT_NE(memo.store(a, 1), nullptr);
-  EXPECT_NE(memo.store(b, 2), nullptr);
-  // Beyond the original ceiling but inside the reserved one.
-  EXPECT_NE(memo.store(c, 3), nullptr);
-  EXPECT_NE(memo.store(d, 4), nullptr);
-  EXPECT_EQ(memo.store(e, 5), nullptr);  // reserved ceiling still bounds
-  EXPECT_EQ(memo.size(), 4u);
+  PayloadMemo<int> memo;
+  std::vector<PayloadRef> held;
+  for (std::size_t i = 0; i < PayloadMemo<int>::kCapacity; ++i) {
+    held.push_back(intern(std::to_string(i)));
+    ASSERT_NE(memo.store(held.back(), static_cast<int>(i)), nullptr);
+  }
+  const PayloadRef extra = intern("extra");
+  EXPECT_EQ(memo.store(extra, -1), nullptr);  // full: walked afresh forever
+  EXPECT_EQ(memo.size(), PayloadMemo<int>::kCapacity);
+  EXPECT_EQ(memo.find(extra), nullptr);
+  const int* first = memo.find(held.front());  // earlier entries unaffected
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(*first, 0);
 }
 
 // --- Entropy memo (anomaly engine) ----------------------------------------
 
-TEST(ScanCacheTest, EntropyMemoIsBitIdenticalToRecomputation) {
-  AnomalyEngineOptions cached_opt;
-  AnomalyEngineOptions legacy_opt;
-  legacy_opt.scan_cache = false;
-  AnomalyEngine cached(cached_opt);
-  AnomalyEngine legacy(legacy_opt);
-  RecordingSink cached_sink;
-  RecordingSink legacy_sink;
-  cached.set_evidence_sink(&cached_sink);
-  legacy.set_evidence_sink(&legacy_sink);
+/// One anomaly-engine replay, its memo counting into `registry`.
+struct EntropyRun {
+  telemetry::Registry registry;
+  RecordingSink sink;
+  std::vector<Detection> detections;
+};
 
-  // A handful of interned payloads cycled many times: train both models,
-  // then detect. Entropy feeds EWMA baselines, z-scores, and winsorized
-  // learning, so any cached-value drift would diverge the outputs.
+/// Trains on the first `learn` payloads (one packet each), then detects.
+/// With `fresh`, every packet carries a new copy of its payload, so it
+/// misses the memo and the engine calls payload_entropy afresh.
+void run_entropy(const std::vector<PayloadRef>& payloads, std::size_t learn,
+                 bool fresh, EntropyRun& run) {
+  telemetry::ScopedRegistry scope(&run.registry);
+  AnomalyEngine engine(AnomalyEngineOptions{});
+  engine.set_evidence_sink(&run.sink);
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    if (i == learn) engine.set_mode(AnomalyEngine::Mode::kDetecting);
+    const PayloadRef ref = fresh ? intern(*payloads[i]) : payloads[i];
+    const Packet p = shared_packet(1 + i % 5, static_cast<std::uint32_t>(i),
+                                   ref);
+    engine.process(p, SimTime::from_ms(10 * static_cast<double>(i)),
+                   run.detections);
+  }
+}
+
+/// Entropy feeds EWMA baselines, z-scores and winsorized learning, and
+/// each detecting-mode packet's evidence carries its entropy z-score, so
+/// any drift of a memoized value would show in detections or evidence.
+void expect_same_entropy_outputs(const EntropyRun& memoized,
+                                 const EntropyRun& fresh) {
+  expect_same_detections(memoized.detections, fresh.detections);
+  EXPECT_FALSE(fresh.sink.observations.empty());
+  EXPECT_EQ(memoized.sink.observations, fresh.sink.observations);
+  EXPECT_EQ(counter(fresh.registry, names::kScanCacheHits), 0u);
+}
+
+/// `count` random payloads; alphabet size and length vary per payload.
+std::vector<PayloadRef> random_payloads(std::size_t count,
+                                        std::uint64_t seed) {
+  std::vector<PayloadRef> out;
+  util::Rng rng(seed);
+  for (std::size_t v = 0; v < count; ++v) {
+    std::string s(16 + rng.index(64), '\0');
+    const std::size_t alphabet = 2 + rng.index(20);
+    for (char& ch : s) ch = static_cast<char>('a' + rng.index(alphabet));
+    out.push_back(intern(std::move(s)));
+  }
+  return out;
+}
+
+TEST(ScanCacheTest, EntropyMemoIsBitIdenticalToRecomputation) {
+  // A handful of interned payloads cycled many times: train, then detect.
   std::vector<PayloadRef> pool;
   util::Rng rng(99);
   for (int v = 0; v < 6; ++v) {
@@ -165,27 +197,40 @@ TEST(ScanCacheTest, EntropyMemoIsBitIdenticalToRecomputation) {
     }
     pool.push_back(intern(std::move(s)));
   }
-  std::vector<Detection> cached_out;
-  std::vector<Detection> legacy_out;
-  for (int i = 0; i < 400; ++i) {
-    if (i == 150) {
-      cached.set_mode(AnomalyEngine::Mode::kDetecting);
-      legacy.set_mode(AnomalyEngine::Mode::kDetecting);
-    }
-    const Packet p =
-        shared_packet(1 + static_cast<std::uint64_t>(i % 5),
-                      static_cast<std::uint32_t>(i),
-                      pool[static_cast<std::size_t>(i) % 6]);
-    const SimTime now = SimTime::from_ms(10 * i);
-    cached.process(p, now, cached_out);
-    legacy.process(p, now, legacy_out);
+  std::vector<PayloadRef> payloads;
+  for (std::size_t i = 0; i < 400; ++i) payloads.push_back(pool[i % 6]);
+
+  EntropyRun memoized;
+  EntropyRun fresh;
+  run_entropy(payloads, 150, /*fresh=*/false, memoized);
+  run_entropy(payloads, 150, /*fresh=*/true, fresh);
+  expect_same_entropy_outputs(memoized, fresh);
+  EXPECT_EQ(counter(memoized.registry, names::kScanCacheMisses), 6u);
+  EXPECT_EQ(counter(memoized.registry, names::kScanCacheHits), 394u);
+  EXPECT_GT(counter(memoized.registry, names::kScanCacheBytesSaved), 0u);
+}
+
+TEST(ScanCacheTest, EntropyMemoPastCapacityMatchesFreshWalks) {
+  // More distinct payloads than the memo holds: the first kCapacity are
+  // stored, the rest are refused and recomputed on every packet. Train
+  // on one pass, then detect over the refused ones and some stored ones.
+  const std::size_t capacity = PayloadMemo<double>::kCapacity;
+  const std::vector<PayloadRef> distinct =
+      random_payloads(capacity + 300, 7);
+  std::vector<PayloadRef> payloads = distinct;
+  for (std::size_t i = capacity; i < distinct.size(); ++i) {
+    payloads.push_back(distinct[i]);
   }
-  expect_same_detections(cached_out, legacy_out);
-  EXPECT_EQ(cached_sink.observations, legacy_sink.observations);
-  EXPECT_GT(cached.scan_cache_stats().hits, 0u);
-  EXPECT_GT(cached.scan_cache_stats().bytes_saved, 0u);
-  EXPECT_EQ(legacy.scan_cache_stats().hits + legacy.scan_cache_stats().misses,
-            0u);
+  for (std::size_t i = 0; i < 200; ++i) payloads.push_back(distinct[i]);
+
+  EntropyRun memoized;
+  EntropyRun fresh;
+  run_entropy(payloads, distinct.size(), /*fresh=*/false, memoized);
+  run_entropy(payloads, distinct.size(), /*fresh=*/true, fresh);
+  expect_same_entropy_outputs(memoized, fresh);
+  EXPECT_EQ(counter(memoized.registry, names::kScanCacheMisses),
+            capacity + 600);
+  EXPECT_EQ(counter(memoized.registry, names::kScanCacheHits), 200u);
 }
 
 // --- Memoized walks vs the full-rescan oracle (signature engine) ---------
@@ -206,22 +251,18 @@ SignatureEngineOptions signature_options(bool reassembly = true) {
 }
 
 void expect_replay_matches_oracle(const OracleReplay& replay) {
-  for (const oracle::ReplaySide* side : {&replay.cached, &replay.uncached}) {
-    const char* which = side == &replay.cached ? "memo on" : "memo off";
-    EXPECT_EQ(side->per_packet, replay.reference.per_packet) << which;
-    EXPECT_EQ(side->sink.observations, replay.reference.sink.observations)
-        << which;
-    EXPECT_EQ(detection_keys(side->detections),
-              detection_keys(replay.reference.detections))
-        << which;
-  }
+  EXPECT_EQ(replay.actual.per_packet, replay.reference.per_packet);
+  EXPECT_EQ(replay.actual.sink.observations,
+            replay.reference.sink.observations);
+  EXPECT_EQ(detection_keys(replay.actual.detections),
+            detection_keys(replay.reference.detections));
 }
 
 TEST(ScanCacheTest, BoundaryStraddleAndInsideHitDeduplicate) {
   // The same pattern appears twice in flight: once straddling the packet
   // boundary (only the carried automaton state can see it) and once
   // fully inside the second payload (the memoized payload walk sees it).
-  // Both engines must equal the full rescan exactly: one evidence
+  // The engine must equal the full rescan exactly: one evidence
   // observation per packet that saw the id, one detection per flow.
   const std::string traversal(attack::patterns::kDirTraversal);
   const std::string head = "GET " + traversal.substr(0, 7);
@@ -240,19 +281,19 @@ TEST(ScanCacheTest, BoundaryStraddleAndInsideHitDeduplicate) {
 
   // The split pattern fired per flow (dedup is per (rule, flow))...
   std::size_t traversal_detections = 0;
-  for (const auto& d : replay.cached.detections) {
+  for (const auto& d : replay.actual.detections) {
     if (d.rule == "WEB-IIS dir traversal") ++traversal_detections;
   }
   EXPECT_EQ(traversal_detections, 2u);
   // ...and the replayed payloads were served from the memo.
-  EXPECT_GT(replay.cached_engine.scan_cache_stats().hits, 0u);
+  EXPECT_GT(replay.counter(names::kScanCacheHits), 0u);
 }
 
 TEST(ScanCacheTest, CachedEngineMatchesLegacyOnRandomizedStreams) {
   // Randomized replay over shared interned payloads — pattern fragments,
-  // whole patterns, benign noise — through reassembling engines with the
-  // memo on and off. Detections and evidence must equal the full-rescan
-  // oracle's, with real memo traffic on the memoizing side.
+  // whole patterns, benign noise — through a reassembling engine.
+  // Detections and evidence must equal the full-rescan oracle's, with
+  // real memo traffic.
   const std::string traversal(attack::patterns::kDirTraversal);
   std::vector<PayloadRef> pool = {
       intern("GET /index.html HTTP/1.0\r\n"),
@@ -274,8 +315,8 @@ TEST(ScanCacheTest, CachedEngineMatchesLegacyOnRandomizedStreams) {
   }
   expect_replay_matches_oracle(replay);
   EXPECT_FALSE(replay.reference.detections.empty());
-  EXPECT_GT(replay.cached_engine.scan_cache_stats().hits, 100u);
-  EXPECT_LE(replay.cached_engine.scan_cache_stats().misses, pool.size());
+  EXPECT_GT(replay.counter(names::kScanCacheHits), 100u);
+  EXPECT_LE(replay.counter(names::kScanCacheMisses), pool.size());
 }
 
 TEST(ScanCacheTest, NonReassemblingCachedEngineMatchesLegacy) {
@@ -293,11 +334,8 @@ TEST(ScanCacheTest, NonReassemblingCachedEngineMatchesLegacy) {
   expect_replay_matches_oracle(replay);
   // Per flow: the traversal rule and the weak /etc/passwd rule, once.
   EXPECT_EQ(replay.reference.detections.size(), 8u);
-  const ScanCacheStats& stats = replay.cached_engine.scan_cache_stats();
-  EXPECT_EQ(stats.misses, 2u);  // one per distinct ref
-  EXPECT_EQ(stats.hits, 10u);
-  const ScanCacheStats& off = replay.uncached_engine.scan_cache_stats();
-  EXPECT_EQ(off.hits + off.misses, 0u);  // memo off never consults it
+  EXPECT_EQ(replay.counter(names::kScanCacheMisses), 2u);  // one per ref
+  EXPECT_EQ(replay.counter(names::kScanCacheHits), 10u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "traffic/profile.hpp"
+#include "util/strfmt.hpp"
 #include "../netsim/per_packet.hpp"
 
 namespace idseval::traffic {
@@ -18,7 +19,7 @@ class FlowGenTest : public ::testing::Test {
   FlowGenTest() : net_(sim_) {
     for (int i = 1; i <= 4; ++i) {
       const Ipv4 addr(10, 0, 0, static_cast<std::uint8_t>(i));
-      net_.add_host("h" + std::to_string(i), addr);
+      net_.add_host(util::cat("h", i), addr);
       internal_.push_back(addr);
     }
     const Ipv4 ext(198, 51, 100, 1);
@@ -61,7 +62,7 @@ TEST_F(FlowGenTest, RateScaleScalesArrivals) {
   std::vector<Ipv4> hosts;
   for (int i = 1; i <= 4; ++i) {
     const Ipv4 addr(10, 0, 0, static_cast<std::uint8_t>(i));
-    net2.add_host("h" + std::to_string(i), addr);
+    net2.add_host(util::cat("h", i), addr);
     hosts.push_back(addr);
   }
   TransactionLedger ledger2;
@@ -89,7 +90,7 @@ TEST_F(FlowGenTest, DeterministicForSameSeed) {
   std::vector<Ipv4> hosts;
   for (int i = 1; i <= 4; ++i) {
     const Ipv4 addr(10, 0, 0, static_cast<std::uint8_t>(i));
-    net2.add_host("h" + std::to_string(i), addr);
+    net2.add_host(util::cat("h", i), addr);
     hosts.push_back(addr);
   }
   const Ipv4 ext(198, 51, 100, 1);

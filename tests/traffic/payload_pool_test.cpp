@@ -188,24 +188,11 @@ TEST(PayloadPoolTest, KindsWithoutGrowthPolicyKeepTheFixedCycle) {
 TEST(PayloadPoolTest, GrowthBelowBaseCycleIsIgnored) {
   PayloadPool pool(13, /*variants=*/4);
   pool.enable_growth(PayloadKind::kCanFrame, 4);  // not > base: no-op
-  EXPECT_EQ(pool.growth_headroom(), 0u);
   std::set<std::string> distinct;
   for (int i = 0; i < 12; ++i) {
     distinct.insert(*pool.background(PayloadKind::kCanFrame, 40));
   }
   EXPECT_EQ(distinct.size(), 4u);
-}
-
-TEST(PayloadPoolTest, GrowthHeadroomSumsOverEnabledKinds) {
-  PayloadPool pool(1, /*variants=*/32);
-  EXPECT_EQ(pool.growth_headroom(), 0u);
-  pool.enable_growth(PayloadKind::kIcsControl,
-                     PayloadPool::kGrowthMaxVariants);
-  pool.enable_growth(PayloadKind::kCanFrame,
-                     PayloadPool::kGrowthMaxVariants);
-  EXPECT_EQ(pool.growth_headroom(),
-            2 * (PayloadPool::kGrowthMaxVariants - 32) *
-                PayloadPool::kGrownBucketsPerKind);
 }
 
 TEST(PayloadPoolTest, SteadyStateHandsOutSharedReferences) {

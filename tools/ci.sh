@@ -72,9 +72,8 @@ done
 
 # Event-core benchmark smoke under the Release preset: checks the
 # zero-heap-fallback invariant and archives the throughput report next to
-# the build tree. The smoke run includes the scan_cache section
-# (cached-vs-legacy detection identity hard-fails; the >=1.5x speedup
-# floor is warn-only — it is a wall-clock ratio).
+# the build tree. The testbed and megaflow floors hard-fail on an
+# optimized, sanitizer-free build; the ICS/CAN floors only warn.
 # Skipped when only specific presets were requested.
 if [ $# -eq 0 ]; then
   echo "==== bench smoke (release) ===="
@@ -118,20 +117,14 @@ for preset in "${presets[@]}"; do
       --out "build-${preset}/BENCH_netsim_smoke.json"
     # Scan-cache focus run: the interned-payload memo, the flat-map port
     # windows, and the streaming reassembly (against the naive
-    # full-rescan oracle) get an explicit sanitizer pass, then a
-    # --no-scan-cache evaluation keeps the memo-off path exercised end to
-    # end (the determinism suite pins that both are byte-identical).
+    # full-rescan oracle) get an explicit sanitizer pass, then an
+    # ecommerce evaluation drives the largest memo population (over 4096
+    # distinct payloads) end to end.
     echo "==== scan-cache focus (${preset}) ===="
     ctest --preset "${preset}" --output-on-failure --no-tests=error \
       -R 'ScanCacheTest|FlatMapTest|ReassemblyTest|FullRescanOracleTest'
     "build-${preset}/tools/idseval_cli" evaluate --product SentryNID \
-      --no-scan-cache
-    # Single-pass score-ledger sweep under the sanitizers: exercises the
-    # evidence sinks, the ledger finalize path, and the offline ROC walk
-    # end to end (a short grid keeps the sanitizer run quick).
-    echo "==== single-pass sweep (${preset}) ===="
-    "build-${preset}/tools/idseval_cli" sweep --product SentryNID \
-      --steps 5 --single-pass
+      --profile ecommerce
     # Kill-chain focus run: the staged campaign machinery (preset
     # determinism, stage ordering, pivoting), the per-technique/per-stage
     # breakdown arithmetic, and the ics/canbus profile pins get an

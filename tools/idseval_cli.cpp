@@ -11,9 +11,7 @@
 //                    [--seed N] [--jobs N] [--load-metrics] [--robustness]
 //       evaluate every product and print the weighted ranking
 //   idseval_cli sweep --product NAME [--profile P] [--steps N] [--seed N]
-//                     [--single-pass]
-//       Figure-4 sensitivity sweep with EER; --single-pass derives the
-//       grid from one evidence-recorded run instead of N simulations
+//       Figure-4 sensitivity sweep with EER, one simulation per grid point
 //   idseval_cli campaign --spec FILE [--jobs N] [--resume] [--out DIR]
 //                        [--out-html]
 //       run a multi-seed evaluation grid, aggregate with dispersion;
@@ -196,10 +194,6 @@ harness::TestbedConfig make_env(const Args& args) {
   harness::TestbedConfig env;
   env.profile = traffic::profile_by_name(args.opt("profile", "rt_cluster"));
   env.seed = args.number_opt<std::uint64_t>("seed", 42);
-  // --no-scan-cache turns the engines' payload memo off: every packet
-  // re-walks its payload through the same detection algorithm. Results
-  // are byte-identical either way; only wall-clock changes.
-  env.scan_cache = !args.has_flag("no-scan-cache");
   return env;
 }
 
@@ -466,26 +460,19 @@ int cmd_sweep(const Args& args) {
     sensitivities.push_back(static_cast<double>(i) /
                             std::max(1, steps - 1));
   }
-  // --single-pass records per-transaction evidence in ONE simulation and
-  // derives every sweep point offline; the default re-simulates the
-  // testbed once per grid point (the reference path).
-  const bool single_pass = args.has_flag("single-pass");
-  std::vector<harness::ErrorRatePoint> sweep;
-  harness::SinglePassSweep recorded;
-  if (single_pass) {
-    recorded = harness::single_pass_sensitivity_sweep(
-        env, products::product(*id), sensitivities, 4);
-    sweep = recorded.points;
-  } else {
-    sweep = harness::sensitivity_sweep(env, products::product(*id),
-                                       sensitivities, 4);
-  }
+  // One simulation per grid point. Deriving the grid from one
+  // evidence-recorded run (harness::single_pass_sensitivity_sweep) is
+  // exact only without detection feedback, and every catalog product has
+  // a management console or an anomaly engine, so it would only
+  // approximate.
+  const std::vector<harness::ErrorRatePoint> sweep =
+      harness::sensitivity_sweep(env, products::product(*id), sensitivities,
+                                 4);
 
   results::TableBuilder table({"Sensitivity", "Type I (% benign)",
                                "Type II (% attacks)"},
                               {"right", "right", "right"});
-  table.title(products::to_string(*id) + " on " + env.profile.name +
-              (single_pass ? " (single-pass)" : ""));
+  table.title(products::to_string(*id) + " on " + env.profile.name);
   for (const auto& p : sweep) {
     table.row({util::fmt_double(p.sensitivity, 2),
                util::fmt_double(p.fp_percent_of_benign, 2),
@@ -498,14 +485,6 @@ int cmd_sweep(const Args& args) {
                 eer.error_percent, eer.sensitivity);
   } else {
     std::printf("no Type I / Type II crossing in [0,1]\n");
-  }
-  if (single_pass) {
-    std::printf("single-pass ledger: %zu transactions (%zu attacks), "
-                "%llu evidence observations, ROC AUC %.4f\n",
-                recorded.roc.transactions(), recorded.roc.attacks(),
-                static_cast<unsigned long long>(
-                    recorded.evidence_observations),
-                recorded.roc.auc());
   }
   return 0;
 }
@@ -823,19 +802,15 @@ int usage() {
       "  catalog [substring]                     metric definitions\n"
       "  evaluate --product NAME [--profile P] [--sensitivity S]\n"
       "           [--seed N] [--load-metrics] [--notes]\n"
-      "           [--no-scan-cache] [--kill-chain NAME] [--out DIR]\n"
-      "           [--trace FILE]\n"
+      "           [--kill-chain NAME] [--out DIR] [--trace FILE]\n"
       "  rank [--profile P] [--weights realtime|ecommerce] [--seed N]\n"
       "       [--sensitivity S] [--jobs N] [--load-metrics] [--robustness]\n"
-      "       [--no-scan-cache] [--kill-chain NAME] [--trace FILE]\n"
+      "       [--kill-chain NAME] [--trace FILE]\n"
       "  sweep --product NAME [--profile P] [--steps N] [--seed N]\n"
-      "        [--single-pass] [--no-scan-cache]\n"
       "  campaign --spec FILE [--jobs N] [--resume]\n"
       "           [--out DIR] [--out-html] [--trace FILE]\n"
       "  trace-check FILE                        validate a trace file\n"
       "  trace-check --csv FILE [--expect-rows N] validate a CSV export\n"
-      "--no-scan-cache turns the detection engines' payload memo off\n"
-      "(same algorithm, results byte-identical to the default)\n"
       "--kill-chain runs a staged campaign (recon -> exploit -> lateral\n"
       "-> exfil) instead of the flat mixed scenario and reports the\n"
       "per-ATT&CK-technique / per-stage detection breakdown\n"
@@ -854,13 +829,12 @@ int main(int argc, char** argv) {
       {"evaluate", cmd_evaluate,
        {"product", "profile", "sensitivity", "seed", "kill-chain", "out",
         "trace"},
-       {"load-metrics", "notes", "no-scan-cache"}},
+       {"load-metrics", "notes"}},
       {"rank", cmd_rank,
        {"profile", "weights", "sensitivity", "seed", "jobs", "kill-chain",
         "trace"},
-       {"load-metrics", "robustness", "no-scan-cache"}},
-      {"sweep", cmd_sweep, {"product", "profile", "steps", "seed"},
-       {"single-pass", "no-scan-cache"}},
+       {"load-metrics", "robustness"}},
+      {"sweep", cmd_sweep, {"product", "profile", "steps", "seed"}, {}},
       {"campaign", cmd_campaign, {"spec", "jobs", "out", "trace"},
        {"resume", "out-html"}},
       {"trace-check", cmd_trace_check, {"csv", "expect-rows", "file"}, {},
